@@ -15,8 +15,10 @@ against each other:
 * :func:`inset_binomial_sum`  -- an all-nonnegative double-binomial sum,
 * :func:`inset_dp`            -- dynamic programming over the block count.
 
-:func:`inset` is the canonical memoized entry point; it evaluates the
-binomial-sum route, whose terms are all nonnegative.
+:func:`inset` is the canonical memoized entry point.  It walks the
+binomial-sum terms with a term-ratio kernel: each term follows from the last
+by one exact multiply-divide step.  The four routes above are the independent
+oracles it is checked against.
 
 All values are exact Python integers.  Everything here is a pure function
 of its arguments; concurrent calls may duplicate work on a cold cache but
@@ -123,15 +125,32 @@ def inset_dp(m: int, n: int, k: int) -> int:
     return row[k]
 
 
+def _inset_term_ratio(m: int, n: int, k: int) -> int:
+    """sum_i C(n,i) C(m+i,k), each term derived from the one before it.
+
+    term(i+1) / term(i) = (n-i)(m+i+1) / ((i+1)(m+i+1-k)); the floor
+    division is exact because its result is the integer term(i+1).
+    """
+    if k > m + n:
+        return 0
+    i0 = max(0, k - m)
+    term = total = math.comb(n, i0) * math.comb(m + i0, k)
+    for i in range(i0, n):
+        term = term * ((n - i) * (m + i + 1)) // ((i + 1) * (m + i + 1 - k))
+        total += term
+    return total
+
+
 @functools.cache
 def _inset_memo(m: int, n: int, k: int) -> int:
-    return inset_binomial_sum(m, n, k)
+    return _inset_term_ratio(m, n, k)
 
 
 def inset(m: int, n: int, k: int) -> int:
-    """Canonical memoized inset number.
+    """Canonical memoized inset number, from the term-ratio kernel.
 
-    Equals all four evaluation routes; 0 exactly when k > m + n.
+    Equals all four evaluation routes, which serve as its oracles; 0
+    exactly when k > m + n.
     """
     _check_index(m, n, k)
     return _inset_memo(m, n, k)

@@ -47,7 +47,6 @@ class SequenceEntry:
     value_fn: Callable[[int], int]
     start: int = 0
     closed_form: Callable[[int], int] | None = None
-    index_map: Callable[[int], tuple[int, int, int]] | None = None
 
     @property
     def oeis_id(self) -> str | None:
@@ -168,7 +167,6 @@ def _entry(
         value_fn=value_fn if value_fn is not None else _single(cell),
         start=start,
         closed_form=closed_form,
-        index_map=cell,
     )
 
 

@@ -73,6 +73,32 @@ def test_methods_agree_random(m, n, k):
     assert inset(m, n, k) == reference
 
 
+@st.composite
+def _large_index(draw):
+    m = draw(st.integers(0, 300))
+    n = draw(st.integers(0, 300))
+    return m, n, draw(st.integers(0, m + n + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_large_index())
+def test_inset_matches_binomial_sum_at_large_indices(index):
+    assert inset(*index) == inset_binomial_sum(*index)
+
+
+@pytest.mark.parametrize(
+    "m,n", [(0, 0), (0, 1), (1, 0), (0, 250), (250, 0), (37, 211), (300, 300)]
+)
+def test_inset_edges_match_binomial_sum(m, n):
+    # k = 0, k = m+n and k = m+n+1, plus the kernel's start switch at k = m
+    for k in {0, 1, n, m, max(0, m + n - 1), m + n, m + n + 1}:
+        assert inset(m, n, k) == inset_binomial_sum(m, n, k), (m, n, k)
+
+
+def test_inset_large_matches_power_sum():
+    assert inset(1000, 1000, 1000) == inset_power_sum(1000, 1000, 1000)
+
+
 def test_support():
     for m in range(13):
         for n in range(13):
