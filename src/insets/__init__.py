@@ -38,7 +38,7 @@ from .registry import (
     validate,
 )
 from .series import gf_in_k, gf_in_m, gf_in_n, poly_mul, poly_pow, poly_trim, series_div
-from .words import count_bruteforce, enumerate_words, is_satisfying
+from .words import count_bruteforce, enumerate_words, is_satisfying, iter_words
 
 __version__ = "0.1.0"
 
@@ -76,6 +76,7 @@ __all__ = [
     "inset_dp",
     "inset_power_sum",
     "is_satisfying",
+    "iter_words",
     "lattice_points",
     "list_entries",
     "load",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from typing import Iterable, Sequence
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 from . import chebyshev, identities, oeis, registry, series
 from .core import inset, trapeze_table
 from .errors import CapExceededError, FixtureError
-from .words import enumerate_words
+from .words import iter_words
 
 WORD_LISTING_GUARD = 10_000
 MAX_SERIES_ORDER = 512
@@ -97,12 +98,13 @@ def _cmd_words(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    listing = enumerate_words(args.m, args.n, args.k)
-    shown = listing if args.limit is None else listing[: args.limit]
+    shown = iter_words(args.m, args.n, args.k)
+    if args.limit is not None:
+        shown = itertools.islice(shown, args.limit)
     if args.format == "json":
-        print(json.dumps(shown))
+        print(json.dumps(list(shown)))
     elif args.format == "csv":
-        _emit_csv(["word"], [[w] for w in shown])
+        _emit_csv(["word"], ([w] for w in shown))
     else:
         for word in shown:
             print(word)

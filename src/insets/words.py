@@ -4,21 +4,28 @@ A word satisfies the constraint (m, n, k) when it has length m + n, exactly
 k letters equal to 2, and no 0 among its first m letters.  Words are plain
 digit strings such as ``"1022"`` so that leading zeros survive.
 
-The enumerator builds only satisfying words (digit choices are pruned by
-the remaining budget of 2s); the exhaustive filter over all 3^(m+n) raw
-words survives as :func:`count_bruteforce`, the independent test oracle.
+The enumerator :func:`iter_words` streams only satisfying words.  It splits
+each word into a head and a tail of the last TAIL_LENGTH letters.  Once per
+call it tabulates the lex-sorted tails grouped by their count of 2s; it then
+walks the heads in lex order, pruned by the remaining budget of 2s, and
+joins each head to the tails that complete its count.  The exhaustive filter
+over all 3^(m+n) raw words survives as :func:`count_bruteforce`, the
+independent test oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from typing import Iterator
 
 from .errors import CapExceededError
 
-__all__ = ["count_bruteforce", "enumerate_words", "is_satisfying"]
+__all__ = ["count_bruteforce", "enumerate_words", "is_satisfying", "iter_words"]
 
 ENUMERATION_CAP = 20
+# the last TAIL_LENGTH letters come from a per-call table of at most 3^8 tails
+TAIL_LENGTH = 8
 BRUTEFORCE_CAP = 14
 
 
@@ -27,35 +34,59 @@ def _check_constraint(m: int, n: int, k: int) -> None:
         raise ValueError(f"word constraint must be nonnegative, got ({m}, {n}, {k})")
 
 
-def enumerate_words(m: int, n: int, k: int, cap: int = ENUMERATION_CAP) -> list[str]:
-    """All satisfying words in lexicographic order (digit order 0 < 1 < 2).
+def iter_words(m: int, n: int, k: int, cap: int = ENUMERATION_CAP) -> Iterator[str]:
+    """Iterate over the satisfying words in lexicographic order (0 < 1 < 2).
 
-    The list length equals inset(m, n, k).  Raises CapExceededError when
-    m + n exceeds ``cap``.
+    Yields inset(m, n, k) words.  The arguments are checked at the call, not
+    at the first ``next()``: raises ValueError for a negative argument and
+    CapExceededError when m + n exceeds ``cap``.
     """
     _check_constraint(m, n, k)
     total = m + n
     if total > cap:
         raise CapExceededError(f"word length {total} exceeds enumeration cap {cap}")
-    out: list[str] = []
-    acc: list[str] = []
-
-    def rec(pos: int, twos: int) -> None:
-        if twos > k or k - twos > total - pos:
-            return
-        if pos == total:
-            out.append("".join(acc))
-            return
-        for d in "12" if pos < m else "012":
-            acc.append(d)
-            rec(pos + 1, twos + (d == "2"))
-            acc.pop()
-
-    rec(0, 0)
-    return out
+    alphabets = ["12" if pos < m else "012" for pos in range(total)]
+    split = max(0, total - TAIL_LENGTH)
+    # tails[j]: the lex-sorted tails holding j 2s; product yields lex order
+    tails: list[list[str]] = [[] for _ in range(total - split + 1)]
+    for letters in itertools.product(*alphabets[split:]):
+        tail = "".join(letters)
+        tails[tail.count("2")].append(tail)
+    heads = _heads(alphabets[:split], k - (total - split), k)
+    return itertools.chain.from_iterable(
+        map(head.__add__, tails[k - twos]) for head, twos in heads
+    )
 
 
-@functools.lru_cache(maxsize=None)
+def _heads(
+    alphabets: list[str], lo: int, hi: int, prefix: str = "", twos: int = 0
+) -> Iterator[tuple[str, int]]:
+    """Lex-ordered (head, count of 2s) over ``alphabets`` with lo..hi 2s.
+
+    Subtrees that cannot reach the window are pruned, so a head that must
+    be all 2s is found without walking the heads before it.
+    """
+    pos = len(prefix)
+    if twos > hi or twos + len(alphabets) - pos < lo:
+        return
+    if pos == len(alphabets):
+        yield prefix, twos
+        return
+    for d in alphabets[pos]:
+        yield from _heads(alphabets, lo, hi, prefix + d, twos + (d == "2"))
+
+
+def enumerate_words(m: int, n: int, k: int, cap: int = ENUMERATION_CAP) -> list[str]:
+    """All satisfying words in lexicographic order, as a list.
+
+    The list length equals inset(m, n, k).  Raises CapExceededError when
+    m + n exceeds ``cap``.
+    """
+    return list(iter_words(m, n, k, cap))
+
+
+# one entry per (m, n); 128 covers the 120 pairs with m + n <= BRUTEFORCE_CAP
+@functools.lru_cache(maxsize=128)
 def _counts_by_twos(m: int, n: int) -> tuple[int, ...]:
     # one pass over all 3^(m+n) raw words, bucketed by number of 2s
     counts = [0] * (m + n + 1)

@@ -1,8 +1,15 @@
+import contextlib
+import hashlib
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
+
+from insets import cli
+from insets.words import enumerate_words
 
 
 def run_cli(*args, **kwargs):
@@ -179,3 +186,64 @@ def test_determinism():
     second = run_cli("verify", "all", "5", "5")
     assert first.stdout == second.stdout
     assert run_cli("seq", "delannoy", "20").stdout == run_cli("seq", "delannoy", "20").stdout
+
+
+def test_words_cap_refused_before_any_output(capsys):
+    assert cli.main(["words", "11", "10", "3", "--limit", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds enumeration cap" in captured.err
+
+
+def test_words_limit_runs_in_bounded_memory(capsys):
+    tracemalloc.start()
+    try:
+        status = cli.main(["words", "10", "8", "8", "--limit", "3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < 4_000_000
+    # the three lex-smallest: ten zero-free places, then eight with eight 2s
+    first = ["111111111122222222", "111111111202222222", "111111111212222222"]
+    expected = "".join(w + "\n" for w in first) + "count 1256465\n"
+    assert capsys.readouterr().out == expected
+
+
+def test_words_all_twos_found_without_walking_other_heads(capsys):
+    start = time.perf_counter()
+    assert cli.main(["words", "0", "20", "20", "--limit", "1"]) == 0
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().out == "2" * 20 + "\ncount 1\n"
+
+
+class _HashingSink:
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt,header", [("plain", ""), ("csv", "word\n")])
+def test_forced_listing_streams(fmt, header):
+    words = enumerate_words(0, 12, 6)
+    body = "".join(w + "\n" for w in words)
+    expected = header + body + ("count 59136\n" if fmt == "plain" else "")
+    listing_size = sum(sys.getsizeof(w) for w in words) + sys.getsizeof(words)
+    del words
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            status = cli.main(["words", "0", "12", "6", "--force", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert sink.digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+    assert peak < listing_size / 3

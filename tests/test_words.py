@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from insets.core import inset
+from insets.core import binomial, inset, inset_dp
 from insets.errors import CapExceededError
-from insets.words import count_bruteforce, enumerate_words, is_satisfying
+from insets.words import count_bruteforce, enumerate_words, is_satisfying, iter_words
 
 WORDS_0_3_2 = {"221", "212", "122", "220", "202", "022"}
 WORDS_1_3_2 = {
@@ -100,3 +102,60 @@ def test_enumerated_words_satisfy(m, n, k):
     assert len(set(listing)) == len(listing)
     for word in listing:
         assert is_satisfying(word, m, n, k)
+
+
+def test_iter_words_checks_arguments_at_the_call():
+    with pytest.raises(ValueError):
+        iter_words(1, 2, -1)
+    with pytest.raises(CapExceededError):
+        iter_words(11, 10, 3)
+
+
+@pytest.mark.parametrize("total", range(10))
+def test_exact_lexicographic_order(total):
+    # the tail holds the last 8 letters, so totals 8 and 9 give heads of length 0 and 1
+    raw = list(map("".join, itertools.product("012", repeat=total)))
+    for m in range(total + 1):
+        n = total - m
+        # is_satisfying(w, m, n, k) holds iff it holds with k = w.count("2")
+        # and that count is k; one filtering pass per m serves every k
+        good = [w for w in raw if is_satisfying(w, m, n, w.count("2"))]
+        for k in range(total + 2):
+            expected = [w for w in good if w.count("2") == k]
+            assert list(iter_words(m, n, k)) == expected, (m, n, k)
+
+
+def _completions(zero_free: int, free: int, twos: int) -> int:
+    """Words of length zero_free + free with ``twos`` 2s and a zero-free start."""
+    if twos < 0:
+        return 0
+    if zero_free == 0:
+        return binomial(free, twos) * 2 ** (free - min(twos, free))
+    return inset_dp(zero_free, free, twos)
+
+
+def _lex_rank(word: str, m: int, n: int, k: int) -> int:
+    """Number of satisfying words lexicographically before ``word``."""
+    rank = twos = 0
+    for pos, letter in enumerate(word):
+        rest = m + n - pos - 1
+        zero_free = max(0, m - pos - 1)
+        for d in "12" if pos < m else "012":
+            if d == letter:
+                break
+            rank += _completions(zero_free, rest - zero_free, k - twos - (d == "2"))
+        twos += letter == "2"
+    return rank
+
+
+# m + n in {12, 17, 20}; in (10, 2, 5) and (15, 5, 7) m exceeds TAIL_LENGTH
+# and the tail starts inside the zero-free prefix
+@pytest.mark.parametrize(
+    "m,n,k", [(10, 2, 5), (0, 12, 6), (3, 14, 9), (15, 5, 7), (6, 14, 12), (0, 20, 20)]
+)
+def test_prefix_has_consecutive_ranks(m, n, k):
+    prefix = list(itertools.islice(iter_words(m, n, k), 50))
+    assert len(prefix) == min(50, inset(m, n, k))
+    for i, word in enumerate(prefix):
+        assert is_satisfying(word, m, n, k)
+        assert _lex_rank(word, m, n, k) == i, (word, i)
