@@ -6,6 +6,9 @@ in json and csv because they outgrow 64 bits quickly.
 
 Exit status: 0 success, 1 verification failure, 2 usage error, 3 I/O or
 fixture error.
+
+Each handler imports the modules it runs, so a call pays start-up only for
+its own subcommand.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import csv
 import itertools
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import chebyshev, identities, oeis, registry, series
 from .core import inset, trapeze_table
 from .errors import CapExceededError, FixtureError
-from .words import iter_words
+
+if TYPE_CHECKING:
+    from .identities import GridReport
 
 WORD_LISTING_GUARD = 10_000
 MAX_SERIES_ORDER = 512
@@ -48,12 +52,6 @@ def _emit_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow(row)
-
-
-def _cache_config(args: argparse.Namespace) -> oeis.CacheConfig:
-    return oeis.default_config(
-        fixture_dir=args.fixtures, offline=True if args.offline else None
-    )
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -91,6 +89,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_words(args: argparse.Namespace) -> int:
+    from .words import iter_words
+
     total = inset(args.m, args.n, args.k)
     if total > WORD_LISTING_GUARD and args.limit is None and not args.force:
         print(
@@ -112,7 +112,7 @@ def _cmd_words(args: argparse.Namespace) -> int:
     return 0
 
 
-def _identity_report_dict(report: identities.GridReport) -> dict:
+def _identity_report_dict(report: GridReport) -> dict:
     out = {
         "identity": report.identity,
         "m_max": report.m_max,
@@ -130,6 +130,13 @@ def _identity_report_dict(report: identities.GridReport) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import identities
+
+    choices = identities.IDENTITY_NAMES + ("all",)
+    if args.identity not in choices:
+        raise ValueError(
+            f"unknown identity {args.identity!r}; choose from {', '.join(choices)}"
+        )
     names = identities.IDENTITY_NAMES if args.identity == "all" else (args.identity,)
     reports = [identities.verify(name, args.m_max, args.n_max) for name in names]
     if args.format == "json":
@@ -159,31 +166,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _series_check(which: str, a: int, b: int, coeffs: list[int]) -> tuple[int, int] | None:
-    """First (index, expected) disagreement with the inset law, or None."""
-    for idx, got in enumerate(coeffs):
-        if which == "m":
-            if idx < max(0, a - b):
-                continue
-            expect = inset(idx + b - a, a, b)
-        elif which == "n":
-            if idx + b < a:
-                continue
-            expect = inset(a, idx + b - a, b)
-        else:
-            expect = inset(a + idx, b, idx)
-        if got != expect:
-            return idx, expect
-    return None
-
-
 def _cmd_series(args: argparse.Namespace) -> int:
+    from . import series
+
     if args.order > MAX_SERIES_ORDER:
         print(f"error: order exceeds {MAX_SERIES_ORDER}", file=sys.stderr)
         return 2
     builder = {"m": series.gf_in_m, "n": series.gf_in_n, "k": series.gf_in_k}[args.which]
     coeffs = builder(args.a, args.b, args.order)
-    failure = _series_check(args.which, args.a, args.b, coeffs) if args.check else None
+    failure = (
+        series.check_coefficients(args.which, args.a, args.b, coeffs)
+        if args.check
+        else None
+    )
     if args.format == "json":
         doc = {
             "which": args.which,
@@ -209,6 +204,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
+    from . import chebyshev
+
     coeffs = chebyshev.polynomial(args.m, args.n)
     if args.format == "json":
         print(
@@ -224,6 +221,8 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
+    from . import registry
+
     piece = registry.generate(args.key, args.count)
     if args.format == "json":
         print(
@@ -246,7 +245,11 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
-    cfg = _cache_config(args)
+    from . import oeis, registry
+
+    cfg = oeis.default_config(
+        fixture_dir=args.fixtures, offline=True if args.offline else None
+    )
     entries = (
         registry.list_entries()
         if args.key == "all"
@@ -316,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_words)
 
     p = sub.add_parser("verify", parents=[common], help="check identities on a grid")
-    p.add_argument("identity", choices=identities.IDENTITY_NAMES + ("all",))
+    p.add_argument("identity", help="identity name or 'all'")
     p.add_argument("m_max", type=_nonneg)
     p.add_argument("n_max", type=_nonneg)
     p.set_defaults(handler=_cmd_verify)

@@ -5,13 +5,14 @@ line, '#' comments and blank lines allowed, indices strictly increasing and
 contiguous.  The package ships committed fixtures for every catalogued
 sequence so the whole test suite runs offline; remote fetching exists only
 to refresh fixtures and goes through an injectable text-by-URL transport.
+The default transport imports ``urllib.request`` on the first remote fetch,
+so loading committed fixtures never pays for it.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -111,6 +112,8 @@ def parse_bfile(text: str, oeis_id: str) -> BFile:
 
 
 def _fetch_with_urllib(url: str) -> str:
+    import urllib.request
+
     with urllib.request.urlopen(url, timeout=30) as resp:
         return resp.read().decode("utf-8")
 

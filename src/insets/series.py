@@ -7,15 +7,18 @@ a list of N + 1 exact integer coefficients, arithmetic modulo x^(N+1).
 Division keeps everything in integers because every denominator used here
 has constant term +-1.  Each generating-function builder states which
 coefficients carry inset values; coefficients outside that range are
-produced but unconstrained.
+produced but unconstrained.  ``check_coefficients`` compares the
+constrained coefficients of an expansion with ``inset``.
 """
 
 from __future__ import annotations
 
+from .core import inset
 from .errors import NonUnitConstantTermError
 
 __all__ = [
     "DEFAULT_ORDER",
+    "check_coefficients",
     "gf_in_k",
     "gf_in_m",
     "gf_in_n",
@@ -113,3 +116,30 @@ def gf_in_k(m: int, n: int, order: int = DEFAULT_ORDER) -> list[int]:
     if m < 0 or n < 0:
         raise ValueError("parameters must be nonnegative")
     return series_div(poly_pow([2, -1], n), poly_pow([1, -1], m + n + 1), order)
+
+
+def check_coefficients(
+    which: str, a: int, b: int, coeffs: list[int]
+) -> tuple[int, int] | None:
+    """First (power, expected) where ``coeffs`` breaks the inset law, or None.
+
+    ``coeffs`` is read as the expansion ``gf_in_<which>(a, b, ...)``, and
+    each power is compared only where that builder's docstring says it
+    carries an inset value.
+    """
+    if which not in ("m", "n", "k"):
+        raise ValueError(f"which must be 'm', 'n' or 'k', not {which!r}")
+    for idx, got in enumerate(coeffs):
+        if which == "m":
+            if idx < max(0, a - b):
+                continue
+            expect = inset(idx + b - a, a, b)
+        elif which == "n":
+            if idx + b < a:
+                continue
+            expect = inset(a, idx + b - a, b)
+        else:
+            expect = inset(a + idx, b, idx)
+        if got != expect:
+            return idx, expect
+    return None

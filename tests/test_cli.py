@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from insets import cli
+from insets.identities import IDENTITY_NAMES
 from insets.words import enumerate_words
 
 
@@ -96,6 +97,12 @@ def test_verify_all():
 def test_verify_unknown_identity_is_usage_error():
     result = run_cli("verify", "bogus", "2", "2")
     assert result.returncode == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: ") and "'bogus'" in line
+    assert len(IDENTITY_NAMES) == 13
+    choices = line.split("choose from ", 1)[1].split(", ")
+    assert choices == [*IDENTITY_NAMES, "all"]
 
 
 def test_series_check_passes():
@@ -247,3 +254,58 @@ def test_forced_listing_streams(fmt, header):
     assert status == 0
     assert sink.digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
     assert peak < listing_size / 3
+
+
+_FOOTPRINT = """
+import contextlib, io, sys
+from insets import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code)
+print("\\n".join(sorted(sys.modules)))
+"""
+
+_NOT_FOR_VALUES = {
+    "urllib.request",
+    "http.client",
+    "dataclasses",
+    "insets.identities",
+    "insets.registry",
+    "insets.oeis",
+}
+
+
+def test_import_insets_loads_no_submodule():
+    result = subprocess.run(
+        [sys.executable, "-c", "import insets, sys; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True,
+    )
+    loaded = result.stdout.split()
+    assert "insets" in loaded
+    assert [name for name in loaded if name.startswith("insets.")] == []
+
+
+@pytest.mark.parametrize(
+    "argv,own,absent",
+    [
+        (("compute", "1", "3", "2"), "core", _NOT_FOR_VALUES),
+        (("table", "1", "2"), "core", _NOT_FOR_VALUES),
+        (("words", "0", "3", "2"), "words", _NOT_FOR_VALUES),
+        (("series", "m", "3", "2", "10", "--check"), "series", _NOT_FOR_VALUES),
+        (("poly", "1", "4"), "chebyshev", _NOT_FOR_VALUES),
+        (("verify", "all", "2", "2"), "identities",
+         {"insets.registry", "insets.oeis", "urllib.request"}),
+        (("seq", "fibonacci", "4"), "registry", {"urllib.request", "insets.identities"}),
+        (("crosscheck", "delannoy"), "registry", {"urllib.request", "insets.identities"}),
+    ],
+)
+def test_subcommand_imports_only_its_modules(argv, own, absent):
+    # diagnose a failure with: python -X importtime -m insets <argv>
+    result = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    code, *loaded = result.stdout.splitlines()
+    assert code == "0"
+    assert f"insets.{own}" in loaded
+    assert sorted(absent.intersection(loaded)) == []

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from insets.core import binomial, inset
 from insets.errors import NonUnitConstantTermError
 from insets.series import (
+    check_coefficients,
     gf_in_k,
     gf_in_m,
     gf_in_n,
@@ -121,6 +122,31 @@ def test_gf_in_k_examples():
     assert gf_in_k(0, 0, 5) == [1] * 6
     assert gf_in_k(0, 1, 5)[1] == inset(1, 1, 1) == 3
     assert gf_in_k(1, 3, 6)[2] == inset(3, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "which,builder,constrained",
+    [
+        ("m", gf_in_m, lambda a, b, p: p >= max(0, a - b)),
+        ("n", gf_in_n, lambda a, b, p: p + b >= a),
+        ("k", gf_in_k, lambda a, b, p: True),
+    ],
+)
+def test_check_coefficients_finds_a_planted_fault(which, builder, constrained):
+    order = 10
+    for a in range(5):
+        for b in range(5):
+            coeffs = builder(a, b, order)
+            assert check_coefficients(which, a, b, coeffs) is None
+            for p in range(order + 1):
+                planted = coeffs[:p] + [coeffs[p] + 1] + coeffs[p + 1:]
+                found = check_coefficients(which, a, b, planted)
+                assert found == ((p, coeffs[p]) if constrained(a, b, p) else None)
+
+
+def test_check_coefficients_rejects_unknown_variable():
+    with pytest.raises(ValueError):
+        check_coefficients("x", 1, 1, [1])
 
 
 def test_shifted_window_identity():
