@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: compute, table, words, verify, series, poly, seq, crosscheck.
-Formats: plain (default), json, csv.  Values are printed as decimal strings
-in json and csv because they outgrow 64 bits quickly.
+Formats: plain (default), json, csv, all written by ``_emit``.  In json,
+computed values are decimal strings, because they outgrow 64 bits quickly,
+and indices (m, n, k, order, start, offset, agreed) are numbers.
 
 Exit status: 0 success, 1 verification failure, 2 usage error, 3 I/O or
 fixture error.
@@ -18,13 +19,10 @@ import csv
 import itertools
 import json
 import sys
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import inset, trapeze_table
 from .errors import CapExceededError, FixtureError
-
-if TYPE_CHECKING:
-    from .identities import GridReport
 
 WORD_LISTING_GUARD = 10_000
 MAX_SERIES_ORDER = 512
@@ -47,44 +45,49 @@ def _positive(text: str) -> int:
     return value
 
 
-def _emit_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+def _emit(
+    fmt: str, doc: object, header: Sequence[str], rows: Iterable, lines: Iterable
+) -> None:
+    """Print one result as a JSON document, CSV rows, or plain lines.
+
+    Only the view for ``fmt`` is read, so the others may be lazy:
+    ``json.dumps`` lists any iterator in ``doc``, and ``rows`` and ``lines``
+    are written as they are produced, so a word listing stays streamed.
+    """
+    if fmt == "json":
+        print(json.dumps(doc, default=list))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
+
+
+def _listing(
+    values: Sequence[int], start: int = 0
+) -> tuple[list[str], Iterable, Iterable]:
+    """Decimal strings of ``values``, their CSV rows ``(start + i, value)``
+    and their plain line, joined with spaces only when read.  Every format
+    prints every value, so each is converted to decimal once.
+    """
+    digits = [str(v) for v in values]
+    return digits, enumerate(digits, start), map(" ".join, [digits])
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    value = inset(args.m, args.n, args.k)
-    if args.format == "json":
-        print(json.dumps({"m": args.m, "n": args.n, "k": args.k, "value": str(value)}))
-    elif args.format == "csv":
-        _emit_csv(["m", "n", "k", "value"], [[args.m, args.n, args.k, value]])
-    else:
-        print(value)
+    value = str(inset(args.m, args.n, args.k))
+    doc = {"m": args.m, "n": args.n, "k": args.k, "value": value}
+    _emit(args.format, doc, list(doc), [doc.values()], [value])
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    rows = trapeze_table(args.n, args.m_max)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "m_max": args.m_max,
-                    "rows": [[str(v) for v in row] for row in rows],
-                }
-            )
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["m", "k", "value"],
-            [[m, k, v] for m, row in enumerate(rows) for k, v in enumerate(row)],
-        )
-    else:
-        for row in rows:
-            print(" ".join(str(v) for v in row))
+    rows = [[str(v) for v in row] for row in trapeze_table(args.n, args.m_max)]
+    doc = {"n": args.n, "m_max": args.m_max, "rows": rows}
+    cells = ((m, k, v) for m, row in enumerate(rows) for k, v in enumerate(row))
+    _emit(args.format, doc, ("m", "k", "value"), cells, map(" ".join, rows))
     return 0
 
 
@@ -93,40 +96,11 @@ def _cmd_words(args: argparse.Namespace) -> int:
 
     total = inset(args.m, args.n, args.k)
     if total > WORD_LISTING_GUARD and args.limit is None and not args.force:
-        print(
-            f"error: {total} words; pass --limit N or --force to list them",
-            file=sys.stderr,
-        )
-        return 2
-    shown = iter_words(args.m, args.n, args.k)
-    if args.limit is not None:
-        shown = itertools.islice(shown, args.limit)
-    if args.format == "json":
-        print(json.dumps(list(shown)))
-    elif args.format == "csv":
-        _emit_csv(["word"], ([w] for w in shown))
-    else:
-        for word in shown:
-            print(word)
-        print(f"count {total}")
+        raise ValueError(f"{total} words; pass --limit N or --force to list them")
+    shown = itertools.islice(iter_words(args.m, args.n, args.k), args.limit)
+    lines = itertools.chain(shown, [f"count {total}"])
+    _emit(args.format, shown, ("word",), zip(shown), lines)
     return 0
-
-
-def _identity_report_dict(report: GridReport) -> dict:
-    out = {
-        "identity": report.identity,
-        "m_max": report.m_max,
-        "n_max": report.n_max,
-        "passed": report.passed,
-    }
-    if report.counterexample is not None:
-        ce = report.counterexample
-        out["counterexample"] = {
-            "params": list(ce.params),
-            "lhs": str(ce.lhs),
-            "rhs": str(ce.rhs),
-        }
-    return out
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -139,30 +113,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     names = identities.IDENTITY_NAMES if args.identity == "all" else (args.identity,)
     reports = [identities.verify(name, args.m_max, args.n_max) for name in names]
-    if args.format == "json":
-        print(json.dumps([_identity_report_dict(r) for r in reports]))
-    elif args.format == "csv":
-        rows = []
-        for r in reports:
-            ce = r.counterexample
-            rows.append(
-                [
-                    r.identity,
-                    "PASS" if r.passed else "FAIL",
-                    " ".join(map(str, ce.params)) if ce else "",
-                    str(ce.lhs) if ce else "",
-                    str(ce.rhs) if ce else "",
-                ]
-            )
-        _emit_csv(["identity", "result", "params", "lhs", "rhs"], rows)
-    else:
-        for r in reports:
-            if r.passed:
-                print(f"PASS {r.identity}")
-            else:
-                ce = r.counterexample
-                params = ", ".join(map(str, ce.params))
-                print(f"FAIL {r.identity} at ({params}): lhs={ce.lhs} rhs={ce.rhs}")
+    doc, rows, lines = [], [], []
+    for r in reports:
+        item = dict(identity=r.identity, m_max=r.m_max, n_max=r.n_max, passed=r.passed)
+        ce = r.counterexample
+        if ce is None:
+            rows.append((r.identity, "PASS", "", "", ""))
+            lines.append(f"PASS {r.identity}")
+        else:
+            lhs, rhs = str(ce.lhs), str(ce.rhs)
+            item["counterexample"] = {"params": ce.params, "lhs": lhs, "rhs": rhs}
+            rows.append((r.identity, "FAIL", " ".join(map(str, ce.params)), lhs, rhs))
+            params = ", ".join(map(str, ce.params))
+            lines.append(f"FAIL {r.identity} at ({params}): lhs={lhs} rhs={rhs}")
+        doc.append(item)
+    _emit(args.format, doc, ("identity", "result", "params", "lhs", "rhs"), rows, lines)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -170,53 +135,31 @@ def _cmd_series(args: argparse.Namespace) -> int:
     from . import series
 
     if args.order > MAX_SERIES_ORDER:
-        print(f"error: order exceeds {MAX_SERIES_ORDER}", file=sys.stderr)
-        return 2
+        raise ValueError(f"order exceeds {MAX_SERIES_ORDER}")
     builder = {"m": series.gf_in_m, "n": series.gf_in_n, "k": series.gf_in_k}[args.which]
     coeffs = builder(args.a, args.b, args.order)
-    failure = (
-        series.check_coefficients(args.which, args.a, args.b, coeffs)
-        if args.check
-        else None
-    )
-    if args.format == "json":
-        doc = {
-            "which": args.which,
-            "a": args.a,
-            "b": args.b,
-            "order": args.order,
-            "coefficients": [str(c) for c in coeffs],
-        }
-        if args.check:
-            doc["check"] = "PASS" if failure is None else "FAIL"
-        print(json.dumps(doc))
-    elif args.format == "csv":
-        _emit_csv(["power", "coefficient"], [[i, c] for i, c in enumerate(coeffs)])
-    else:
-        print(" ".join(str(c) for c in coeffs))
-        if args.check:
-            if failure is None:
-                print("PASS")
-            else:
-                idx, expect = failure
-                print(f"FAIL at power {idx}: got {coeffs[idx]}, expected {expect}")
+    digits, rows, lines = _listing(coeffs)
+    doc = {"which": args.which, "a": args.a, "b": args.b, "order": args.order}
+    doc["coefficients"] = digits
+    failure = None
+    if args.check:
+        failure = series.check_coefficients(args.which, args.a, args.b, coeffs)
+        doc["check"] = "PASS" if failure is None else "FAIL"
+        verdict = "PASS"
+        if failure is not None:
+            idx, expect = failure
+            verdict = f"FAIL at power {idx}: got {digits[idx]}, expected {expect}"
+        lines = itertools.chain(lines, [verdict])
+    _emit(args.format, doc, ("power", "coefficient"), rows, lines)
     return 0 if failure is None else 1
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
     from . import chebyshev
 
-    coeffs = chebyshev.polynomial(args.m, args.n)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"m": args.m, "n": args.n, "coefficients": [str(c) for c in coeffs]}
-            )
-        )
-    elif args.format == "csv":
-        _emit_csv(["power", "coefficient"], [[i, c] for i, c in enumerate(coeffs)])
-    else:
-        print(" ".join(str(c) for c in coeffs))
+    digits, rows, lines = _listing(chebyshev.polynomial(args.m, args.n))
+    doc = {"m": args.m, "n": args.n, "coefficients": digits}
+    _emit(args.format, doc, ("power", "coefficient"), rows, lines)
     return 0
 
 
@@ -224,63 +167,28 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     from . import registry
 
     piece = registry.generate(args.key, args.count)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "key": piece.key,
-                    "start": piece.start,
-                    "values": [str(v) for v in piece.values],
-                }
-            )
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["index", "value"],
-            [[piece.start + i, v] for i, v in enumerate(piece.values)],
-        )
-    else:
-        print(" ".join(str(v) for v in piece.values))
+    digits, rows, lines = _listing(piece.values, piece.start)
+    doc = {"key": piece.key, "start": piece.start, "values": digits}
+    _emit(args.format, doc, ("index", "value"), rows, lines)
     return 0
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     from . import oeis, registry
 
-    cfg = oeis.default_config(
-        fixture_dir=args.fixtures, offline=True if args.offline else None
-    )
+    cfg = oeis.default_config(fixture_dir=args.fixtures, offline=args.offline or None)
     entries = (
         registry.list_entries()
         if args.key == "all"
         else [registry.get_entry(args.key)]
     )
     reports = [registry.validate(e.key, oeis.load(e.fixture_id, cfg)) for e in entries]
-    if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "key": r.key,
-                        "fixture": r.fixture_id,
-                        "status": r.status,
-                        "offset": r.offset,
-                        "agreed": r.agreed,
-                    }
-                    for r in reports
-                ]
-            )
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["key", "fixture", "status", "offset", "agreed"],
-            [[r.key, r.fixture_id, r.status, r.offset, r.agreed] for r in reports],
-        )
-    elif args.key == "all":
-        for r in reports:
-            print(f"{r.key} {r.status} offset={r.offset}")
-    else:
-        print(f"{reports[0].status} offset={reports[0].offset}")
+    header = ("key", "fixture", "status", "offset", "agreed")
+    rows = [(r.key, r.fixture_id, r.status, r.offset, r.agreed) for r in reports]
+    lines = (f"{r.status} offset={r.offset}" for r in reports)
+    if args.key == "all":
+        lines = (f"{r.key} {line}" for r, line in zip(reports, lines))
+    _emit(args.format, (dict(zip(header, row)) for row in rows), header, rows, lines)
     return 0 if all(r.validated for r in reports) else 1
 
 
@@ -289,10 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("plain", "json", "csv"), default="plain",
         help="output format (default: plain)",
-    )
-    common.add_argument("--fixtures", metavar="DIR", help="fixture directory override")
-    common.add_argument(
-        "--offline", action="store_true", help="never touch the network"
     )
 
     parser = argparse.ArgumentParser(
@@ -344,14 +248,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", parents=[common], help="validate against fixtures")
     p.add_argument("key", help="sequence key or 'all'")
+    p.add_argument("--fixtures", metavar="DIR", help="fixture directory override")
+    p.add_argument("--offline", action="store_true", help="never touch the network")
     p.set_defaults(handler=_cmd_crosscheck)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # Arguments are parsed under the int-to-str digit cap (0 or absent: none,
+    # as before Python 3.10.7); the command runs without it, then it returns.
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except (CapExceededError, KeyError, ValueError) as exc:
@@ -361,6 +271,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (FixtureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

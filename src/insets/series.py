@@ -13,7 +13,7 @@ constrained coefficients of an expansion with ``inset``.
 
 from __future__ import annotations
 
-from .core import inset
+from .core import binomial, inset
 from .errors import NonUnitConstantTermError
 
 __all__ = [
@@ -87,6 +87,15 @@ def series_div(num: list[int], den: list[int], order: int) -> list[int]:
     return out
 
 
+def _binomial_power(c0: int, c1: int, e: int, order: int) -> list[int]:
+    """(c0 + c1*x)^e modulo x^(order+1), term by term from the binomial theorem.
+
+    The builders read only x^0..x^order, so expanding the whole power would
+    cost work that grows with ``e`` rather than with ``order``.
+    """
+    return [binomial(e, i) * c0 ** (e - i) * c1**i for i in range(min(e, order) + 1)]
+
+
 def gf_in_m(n: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
     """Expansion of (1+x)^n / (1-x)^(k+1).
 
@@ -95,7 +104,8 @@ def gf_in_m(n: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
     """
     if n < 0 or k < 0:
         raise ValueError("parameters must be nonnegative")
-    return series_div(poly_pow([1, 1], n), poly_pow([1, -1], k + 1), order)
+    num = _binomial_power(1, 1, n, order)
+    return series_div(num, _binomial_power(1, -1, k + 1, order), order)
 
 
 def gf_in_n(m: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
@@ -105,7 +115,8 @@ def gf_in_n(m: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
     """
     if m < 0 or k < 0:
         raise ValueError("parameters must be nonnegative")
-    return series_div(poly_pow([1, -1], m), poly_pow([1, -2], k + 1), order)
+    num = _binomial_power(1, -1, m, order)
+    return series_div(num, _binomial_power(1, -2, k + 1, order), order)
 
 
 def gf_in_k(m: int, n: int, order: int = DEFAULT_ORDER) -> list[int]:
@@ -115,7 +126,8 @@ def gf_in_k(m: int, n: int, order: int = DEFAULT_ORDER) -> list[int]:
     """
     if m < 0 or n < 0:
         raise ValueError("parameters must be nonnegative")
-    return series_div(poly_pow([2, -1], n), poly_pow([1, -1], m + n + 1), order)
+    num = _binomial_power(2, -1, n, order)
+    return series_div(num, _binomial_power(1, -1, m + n + 1, order), order)
 
 
 def check_coefficients(

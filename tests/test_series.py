@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,3 +164,25 @@ def test_shifted_window_identity():
                     binomial(n, m - i) * math.comb(k + i, k) for i in range(m + 1)
                 )
                 assert inset(m + k - n, n, k) == rhs, (m, n, k)
+
+
+@pytest.mark.parametrize(
+    "builder,num,den",
+    [
+        (gf_in_m, lambda a, b: ([1, 1], a), lambda a, b: ([1, -1], b + 1)),
+        (gf_in_n, lambda a, b: ([1, -1], a), lambda a, b: ([1, -2], b + 1)),
+        (gf_in_k, lambda a, b: ([2, -1], b), lambda a, b: ([1, -1], a + b + 1)),
+    ],
+)
+def test_builders_match_full_expansion_when_powers_exceed_order(builder, num, den):
+    for a, b, order in [(0, 0, 0), (9, 2, 3), (2, 9, 3), (12, 12, 5), (5, 4, 20)]:
+        full = series_div(poly_pow(*num(a, b)), poly_pow(*den(a, b)), order)
+        assert builder(a, b, order) == full, (a, b, order)
+
+
+def test_series_work_follows_the_order_not_the_powers():
+    start = time.perf_counter()
+    coeffs = gf_in_k(0, 3000, 5)
+    assert time.perf_counter() - start < 1.0
+    assert len(coeffs) == 6
+    assert check_coefficients("k", 0, 3000, coeffs) is None
