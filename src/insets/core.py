@@ -15,19 +15,21 @@ against each other:
 * :func:`inset_binomial_sum`  -- an all-nonnegative double-binomial sum,
 * :func:`inset_dp`            -- dynamic programming over the block count.
 
-:func:`inset` is the canonical memoized entry point.  It walks the
-binomial-sum terms with a term-ratio kernel: each term follows from the last
-by one exact multiply-divide step.  The four routes above are the independent
-oracles it is checked against.
+:func:`inset` is the canonical entry point.  It walks the binomial-sum
+terms with a term-ratio kernel: each term follows from the last by one exact
+multiply-divide step.  The four routes above are the independent oracles it
+is checked against.  It keeps no cache; a caller that reads a cell many times
+keeps its own table for the length of its call, as
+:func:`insets.identities.verify` does.
 
 All values are exact Python integers.  Everything here is a pure function
-of its arguments; concurrent calls may duplicate work on a cold cache but
-always store identical values.
+of its arguments.  :func:`inset` keeps no state at all; concurrent
+:func:`inset_dp` calls may duplicate work on a row not yet memoized, but
+always store identical rows.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 __all__ = [
@@ -98,7 +100,10 @@ def inset_binomial_sum(m: int, n: int, k: int) -> int:
     return sum(math.comb(n, i) * binomial(m + i, k) for i in range(n + 1))
 
 
-# rows keyed by (m, block count); a stored row never changes
+# Rows keyed by (m, block count); a stored row never changes.  This is the
+# package's last unbounded process-wide memo.  It stays only until the
+# benchmark checks build their own DP rows (ROADMAP item 1), because today
+# they lean on it for speed.
 _DP_ROWS: dict[tuple[int, int], list[int]] = {}
 
 
@@ -125,12 +130,16 @@ def inset_dp(m: int, n: int, k: int) -> int:
     return row[k]
 
 
-def _inset_term_ratio(m: int, n: int, k: int) -> int:
-    """sum_i C(n,i) C(m+i,k), each term derived from the one before it.
+def inset(m: int, n: int, k: int) -> int:
+    """Canonical inset number, from the term-ratio kernel; not cached.
 
-    term(i+1) / term(i) = (n-i)(m+i+1) / ((i+1)(m+i+1-k)); the floor
-    division is exact because its result is the integer term(i+1).
+    Sums C(n,i) C(m+i,k), each term derived from the one before it:
+    term(i+1) / term(i) = (n-i)(m+i+1) / ((i+1)(m+i+1-k)), and the floor
+    division is exact because its result is the integer term(i+1).  Equals
+    all four evaluation routes, which serve as its oracles; 0 exactly when
+    k > m + n.
     """
+    _check_index(m, n, k)
     if k > m + n:
         return 0
     i0 = max(0, k - m)
@@ -139,21 +148,6 @@ def _inset_term_ratio(m: int, n: int, k: int) -> int:
         term = term * ((n - i) * (m + i + 1)) // ((i + 1) * (m + i + 1 - k))
         total += term
     return total
-
-
-@functools.cache
-def _inset_memo(m: int, n: int, k: int) -> int:
-    return _inset_term_ratio(m, n, k)
-
-
-def inset(m: int, n: int, k: int) -> int:
-    """Canonical memoized inset number, from the term-ratio kernel.
-
-    Equals all four evaluation routes, which serve as its oracles; 0
-    exactly when k > m + n.
-    """
-    _check_index(m, n, k)
-    return _inset_memo(m, n, k)
 
 
 def trapeze_table(n: int, m_max: int) -> list[list[int]]:

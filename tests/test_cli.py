@@ -116,6 +116,20 @@ def test_series_order_cap():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("bounds", [("33", "0"), ("0", "33"), ("40", "40")])
+def test_verify_grid_budget_refused(capsys, bounds):
+    assert cli.MAX_VERIFY_GRID == 32
+    assert cli.main(["verify", "all", *bounds]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: grid bound exceeds 32\n"
+
+
+def test_verify_at_grid_budget_runs(capsys):
+    assert cli.main(["verify", "first_row", "32", "32"]) == 0
+    assert capsys.readouterr().out == "PASS first_row\n"
+
+
 def test_compute_json():
     result = run_cli("compute", "1", "3", "2", "--format", "json")
     assert json.loads(result.stdout) == {"m": 1, "n": 3, "k": 2, "value": "18"}

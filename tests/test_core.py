@@ -1,7 +1,11 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from insets import chebyshev, core, registry
 from insets.core import (
     binomial,
     inset,
@@ -11,6 +15,7 @@ from insets.core import (
     inset_power_sum,
     trapeze_table,
 )
+from insets.identities import verify_all
 
 ALL_METHODS = [inset_alternating, inset_power_sum, inset_binomial_sum, inset_dp]
 
@@ -167,3 +172,24 @@ def test_trapeze_structure():
                     left = prev[k - 1] if k - 1 < len(prev) else 0
                     right = prev[k] if k < len(prev) else 0
                     assert row[k] == left + right
+
+
+def test_no_process_wide_growth():
+    assert not hasattr(core.inset, "cache_info")
+
+    # first calls first: lazy imports and first-use set-up are not growth
+    verify_all(0, 0)
+    registry.generate("delannoy", 1)
+    chebyshev.polynomial(2, 1)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        baseline = tracemalloc.get_traced_memory()[0]
+        verify_all(12, 12)
+        registry.generate("delannoy", 200)
+        chebyshev.polynomial(2, 200)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained - baseline < 100_000
