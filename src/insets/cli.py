@@ -98,10 +98,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_words(args: argparse.Namespace) -> int:
     from .words import iter_words
 
+    # iter_words refuses an over-cap length at the call, before the count is paid
+    words = iter_words(args.m, args.n, args.k)
     total = inset(args.m, args.n, args.k)
     if total > WORD_LISTING_GUARD and args.limit is None and not args.force:
         raise ValueError(f"{total} words; pass --limit N or --force to list them")
-    shown = itertools.islice(iter_words(args.m, args.n, args.k), args.limit)
+    shown = itertools.islice(words, args.limit)
     lines = itertools.chain(shown, [f"count {total}"])
     _emit(args.format, shown, ("word",), zip(shown), lines)
     return 0

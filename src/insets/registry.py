@@ -1,9 +1,11 @@
 """Catalog of named integer sequences realized by inset numbers.
 
-Each entry maps a linear index to an inset value (most entries through a
-single inset cell, a few through sums or two-dimensional linearizations),
-names the fixture it is validated against, and optionally carries a closed
-form that must agree with the inset route term by term.
+Each entry is a stream of terms: ``entry.terms(i)`` returns a fresh
+iterator over the terms from linear index ``i`` on, and nothing is cached
+between calls, so ``next(entry.terms(i))`` is term ``i``.  Most entries
+read one inset cell per index, a few read sums or two-dimensional arrays.
+Each also names the fixture it is validated against, and optionally carries
+a closed form that must agree with the inset route term by term.
 
 Alignment against fixtures is discovered, not transcribed: several named
 sequences are known to sit at a shifted index relative to their customary
@@ -13,13 +15,15 @@ full agreement on an overlap of at least 15 terms.
 Two-dimensional families (Delannoy square, asymmetric Delannoy square,
 Sulanke grid, the two-boundary Pascal triangle, cell-count table) are read
 by antidiagonals resp. rows; the committed fixtures use the same reading.
+A stream walks the cells of its array in order, so no index is decoded
+back into a cell.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import binomial, inset
 from .errors import FixtureError
@@ -39,12 +43,16 @@ OFFSET_SEARCH = (0, -1, 1, -2, 2, -3, 3, -4, 4)
 MIN_AGREEMENT = 15
 
 
+Terms = Callable[[int], Iterator[int]]
+
+
 @dataclass(frozen=True)
 class SequenceEntry:
     key: str
     fixture_id: str  # OEIS id (Axxxxxx) or a local fixture stem
     description: str
-    value_fn: Callable[[int], int]
+    # terms(i): a fresh iterator over the terms from index i on, never cached
+    terms: Terms
     start: int = 0
     closed_form: Callable[[int], int] | None = None
 
@@ -82,12 +90,6 @@ def exact_div(numerator: int, denominator: int) -> int:
     return q
 
 
-def _antidiagonal(i: int) -> tuple[int, int]:
-    """Linear index of a square array read by antidiagonals -> (d, j), j in 0..d."""
-    d = (math.isqrt(8 * i + 1) - 1) // 2
-    return d, i - d * (d + 1) // 2
-
-
 def sulanke(n: int, k: int) -> int:
     """Parity-split grid value: inset(h, h, k) with h = (n+k)/2 for even n+k,
     inset((n+k-1)/2, (n+k+1)/2, k) for odd n+k."""
@@ -99,38 +101,11 @@ def sulanke(n: int, k: int) -> int:
     return inset((n + k - 1) // 2, (n + k + 1) // 2, k)
 
 
-def _sulanke_linear(i: int) -> int:
-    d, j = _antidiagonal(i)
-    return sulanke(d - j, j)
-
-
 def fibonacci_by_insets(m: int) -> int:
     """The sum over i <= floor((m+1)/2) of inset(m-i, 1, i); equals F(m+3)."""
     if m < 0:
         raise ValueError("index must be nonnegative")
     return sum(inset(m - i, 1, i) for i in range((m + 1) // 2 + 1))
-
-
-def _lucas_cell(i: int) -> tuple[int, int]:
-    # rows m = 0, 1, ... of lengths m + 2
-    m = 0
-    while (m + 1) * (m + 4) // 2 <= i:
-        m += 1
-    return m, i - m * (m + 3) // 2
-
-
-def _cell_table_cell(i: int) -> tuple[int, int]:
-    # valid (n, d) cells of the cell-count table, row by row in n
-    seen = 0
-    n = 0
-    while True:
-        d_lo = (2 * n + 2) // 3
-        d_hi = (3 * n + 4) // 4
-        width = d_hi - d_lo + 1
-        if seen + width > i:
-            return n, d_lo + (i - seen)
-        seen += width
-        n += 1
 
 
 def braun_hough_cells(d: int, n: int) -> int:
@@ -140,157 +115,151 @@ def braun_hough_cells(d: int, n: int) -> int:
     return inset(2, n - d + 2, 3 * d - 2 * n)
 
 
-def _single(m_of: Callable[[int], tuple[int, int, int]]) -> Callable[[int], int]:
-    def fn(i: int) -> int:
-        m, n, k = m_of(i)
-        return inset(m, n, k)
-
-    return fn
+def _line(cell: Callable[[int], tuple[int, int, int]]) -> Terms:
+    """The terms inset(*cell(i)) for i = start, start + 1, ..."""
+    return lambda start: itertools.starmap(inset, map(cell, itertools.count(start)))
 
 
-def _entry(
-    key: str,
-    fixture_id: str,
-    description: str,
-    *,
-    cell: Callable[[int], tuple[int, int, int]] | None = None,
-    value_fn: Callable[[int], int] | None = None,
-    start: int = 0,
-    closed_form: Callable[[int], int] | None = None,
-) -> SequenceEntry:
-    if (cell is None) == (value_fn is None):
-        raise ValueError("exactly one of cell/value_fn is required")
-    return SequenceEntry(
-        key=key,
-        fixture_id=fixture_id,
-        description=description,
-        value_fn=value_fn if value_fn is not None else _single(cell),
-        start=start,
-        closed_form=closed_form,
-    )
+def _rows(row: Callable[[int], range], value: Callable[[int, int], int]) -> Terms:
+    """The terms value(r, c) for c in row(r), rows r = 0, 1, ... in turn.
+
+    Starting at index i skips the first i cells without computing them.
+    """
+
+    def terms(start: int) -> Iterator[int]:
+        cells = ((r, c) for r in itertools.count() for c in row(r))
+        return itertools.starmap(value, itertools.islice(cells, start, None))
+
+    return terms
+
+
+def _antidiagonals(value: Callable[[int, int], int]) -> Terms:
+    """A square array value(d, j), j = 0..d, read by antidiagonals d = 0, 1, ..."""
+    return _rows(lambda d: range(d + 1), value)
 
 
 def _build_catalog() -> list[SequenceEntry]:
+    sulanke_grid = _antidiagonals(lambda d, j: sulanke(d - j, j))
     entries = [
-        _entry(
+        SequenceEntry(
             "odd_numbers",
             "A005408",
             "inset(m,1,1): odd numbers 2m+1",
-            cell=lambda m: (m, 1, 1),
+            _line(lambda m: (m, 1, 1)),
             closed_form=lambda m: 2 * m + 1,
         ),
-        _entry(
+        SequenceEntry(
             "squares",
             "A000290",
             "inset(m,1,2): perfect squares m^2",
-            cell=lambda m: (m, 1, 2),
+            _line(lambda m: (m, 1, 2)),
             closed_form=lambda m: m * m,
         ),
-        _entry(
+        SequenceEntry(
             "square_pyramidal",
             "A000330",
             "inset(m,1,3): square pyramidal numbers, shifted",
-            cell=lambda m: (m, 1, 3),
+            _line(lambda m: (m, 1, 3)),
             closed_form=lambda m: exact_div((m - 1) * m * (2 * m - 1), 6),
         ),
-        _entry(
+        SequenceEntry(
             "pyramidal_4d",
             "A002415",
             "inset(m,1,4): four-dimensional pyramidal numbers, shifted",
-            cell=lambda m: (m, 1, 4),
+            _line(lambda m: (m, 1, 4)),
             closed_form=lambda m: exact_div((m - 1) ** 2 * ((m - 1) ** 2 - 1), 12),
         ),
-        _entry(
+        SequenceEntry(
             "centered_square",
             "A001844",
             "inset(m,2,2): centered squares m^2 + (m+1)^2",
-            cell=lambda m: (m, 2, 2),
+            _line(lambda m: (m, 2, 2)),
             closed_form=lambda m: m * m + (m + 1) * (m + 1),
         ),
-        _entry(
+        SequenceEntry(
             "octahedral",
             "A005900",
             "inset(m,2,3): octahedral numbers m(2m^2+1)/3",
-            cell=lambda m: (m, 2, 3),
+            _line(lambda m: (m, 2, 3)),
             closed_form=lambda m: exact_div(m * (2 * m * m + 1), 3),
         ),
-        _entry(
+        SequenceEntry(
             "centered_octahedral",
             "A001845",
             "inset(m,3,3): centered octahedral numbers (2m+1)(2m^2+2m+3)/3",
-            cell=lambda m: (m, 3, 3),
+            _line(lambda m: (m, 3, 3)),
             closed_form=lambda m: exact_div((2 * m + 1) * (2 * m * m + 2 * m + 3), 3),
         ),
-        _entry(
+        SequenceEntry(
             "centered_polygonal_4d",
             "A006325",
             "inset(m,2,4): 4-dimensional centered polygonal analog m(m-1)(m^2-m+1)/6",
-            cell=lambda m: (m, 2, 4),
+            _line(lambda m: (m, 2, 4)),
             closed_form=lambda m: exact_div(m * (m - 1) * (m * m - m + 1), 6),
         ),
-        _entry(
+        SequenceEntry(
             "dyck_pyramid_weight",
             "A001793",
             "inset(1,n,2): n(n+3)2^(n-3); pyramid weight of Dyck paths",
-            cell=lambda n: (1, n, 2),
+            _line(lambda n: (1, n, 2)),
             closed_form=lambda n: exact_div(n * (n + 3) * (1 << n), 8),
         ),
-        _entry(
+        SequenceEntry(
             "bishop_moves",
             "A002492",
             "inset(1,n,n-2): bishop moves on the n x n board, n >= 2",
-            cell=lambda n: (1, n, n - 2),
+            _line(lambda n: (1, n, n - 2)),
             start=2,
             closed_form=lambda n: exact_div(2 * n * (2 * n - 1) * (n - 1), 3),
         ),
-        _entry(
+        SequenceEntry(
             "squares_convolution",
             "A033455",
             "inset(m,2,5): convolution of nonzero squares with themselves, shifted",
-            cell=lambda m: (m, 2, 5),
+            _line(lambda m: (m, 2, 5)),
             closed_form=lambda m: exact_div((m - 1) * ((m - 1) ** 4 - 1), 30),
         ),
-        _entry(
+        SequenceEntry(
             "delannoy",
             "A008288",
             "Delannoy square D(m,n) = inset(m,n,n), read by antidiagonals",
-            value_fn=lambda i: (lambda d, j: inset(j, d - j, d - j))(*_antidiagonal(i)),
+            _antidiagonals(lambda d, j: inset(j, d - j, d - j)),
         ),
-        _entry(
+        SequenceEntry(
             "central_delannoy",
             "A001850",
             "inset(n,n,n): central Delannoy numbers",
-            cell=lambda n: (n, n, n),
+            _line(lambda n: (n, n, n)),
         ),
-        _entry(
+        SequenceEntry(
             "asymmetric_delannoy",
             "A049600",
             "asymmetric Delannoy square inset(m,n,m), read by antidiagonals",
-            value_fn=lambda i: (lambda d, j: inset(j, d - j, j))(*_antidiagonal(i)),
+            _antidiagonals(lambda d, j: inset(j, d - j, j)),
         ),
-        _entry(
+        SequenceEntry(
             "catalan_scaled",
             "A051960",
             "inset(2k,1,k) = (3k+2) * Catalan(k)",
-            cell=lambda k: (2 * k, 1, k),
+            _line(lambda k: (2 * k, 1, k)),
         ),
-        _entry(
+        SequenceEntry(
             "fibonacci",
             "A000045",
             "sum_i inset(m-i,1,i) over i <= (m+1)/2: Fibonacci F(m+3)",
-            value_fn=fibonacci_by_insets,
+            lambda start: map(fibonacci_by_insets, itertools.count(start)),
         ),
-        _entry(
+        SequenceEntry(
             "sulanke_even",
             "A064861",
             "parity-split grid read by antidiagonals, anchored on the even corner",
-            value_fn=_sulanke_linear,
+            sulanke_grid,
         ),
-        _entry(
+        SequenceEntry(
             "sulanke_odd",
             "A064861",
             "parity-split grid read by antidiagonals, anchored on the first odd cell",
-            value_fn=_sulanke_linear,
+            sulanke_grid,
             start=1,
         ),
     ]
@@ -298,122 +267,125 @@ def _build_catalog() -> list[SequenceEntry]:
     ball_ids = {1: "A005408", 2: "A001844", 3: "A001845", 4: "A001846", 5: "A001847"}
     for dim, fixture in ball_ids.items():
         entries.append(
-            _entry(
+            SequenceEntry(
                 f"crystal_ball_Z{dim}",
                 fixture,
                 f"inset(m,{dim},{dim}): lattice points with |x|_1 <= m in Z^{dim}",
-                cell=lambda m, d=dim: (m, d, d),
+                _line(lambda m, d=dim: (m, d, d)),
             )
         )
 
     coordination_ids = {3: "A005899", 4: "A008412", 5: "A008413"}
     for dim, fixture in coordination_ids.items():
 
-        def coordination(m: int, d: int = dim) -> int:
-            return 1 if m == 0 else inset(m - 1, d, d - 1)
+        def coordination(start: int, d: int = dim) -> Iterator[int]:
+            return (1 if m == 0 else inset(m - 1, d, d - 1) for m in itertools.count(start))
 
         entries.append(
-            _entry(
+            SequenceEntry(
                 f"coordination_Z{dim}",
                 fixture,
                 f"inset(m-1,{dim},{dim - 1}): lattice points with |x|_1 = m in Z^{dim}",
-                value_fn=coordination,
+                coordination,
             )
         )
 
     entries += [
-        _entry(
+        SequenceEntry(
             "lucas_triangle",
             "A029653",
             "rows inset(m,1,k), k = 0..m+1: the (2,1) Pascal triangle",
-            value_fn=lambda i: (lambda m, k: inset(m, 1, k))(*_lucas_cell(i)),
+            _rows(lambda m: range(m + 2), lambda m, k: inset(m, 1, k)),
         ),
-        _entry(
+        SequenceEntry(
             "weak_comp_2zeros",
             "A058396",
             "inset(3,n,2): weak compositions of n+1 with exactly two zero parts",
-            cell=lambda n: (3, n, 2),
+            _line(lambda n: (3, n, 2)),
             closed_form=lambda n: exact_div((n * n + 11 * n + 24) * (1 << n), 8),
         ),
-        _entry(
+        SequenceEntry(
             "turan_triangles",
             "A000297",
             "inset(m+1,2,m): triangles in the complete multipartite graph with parts (2,2,1,...)",
-            cell=lambda m: (m + 1, 2, m),
+            _line(lambda m: (m + 1, 2, m)),
             closed_form=lambda m: binomial(m + 5, 3) - 2 * (m + 3),
         ),
-        _entry(
+        SequenceEntry(
             "octahedron_surface",
             "A005899",
             "inset(m,3,2): points on the octahedron surface 4(m+1)^2 + 2",
-            cell=lambda m: (m, 3, 2),
+            _line(lambda m: (m, 3, 2)),
             closed_form=lambda m: 4 * (m + 1) * (m + 1) + 2,
         ),
-        _entry(
+        SequenceEntry(
             "ccc_cliques",
             "A167667",
             "inset(n,n,1) = 3n 2^(n-1): maximum cliques in cube-connected cycles",
-            cell=lambda n: (n, n, 1),
+            _line(lambda n: (n, n, 1)),
             closed_form=lambda n: exact_div(3 * n * (1 << n), 2),
         ),
-        _entry(
+        SequenceEntry(
             "schroeder_peaks",
             "A002002",
             "inset(m,m+1,m+1): peaks in all Schroeder paths",
-            cell=lambda m: (m, m + 1, m + 1),
+            _line(lambda m: (m, m + 1, m + 1)),
         ),
-        _entry(
+        SequenceEntry(
             "partial_self_maps",
             "A002003",
             "inset(m,m+1,m): order-preserving partial self-maps of an m-set",
-            cell=lambda m: (m, m + 1, m),
+            _line(lambda m: (m, m + 1, m)),
         ),
-        _entry(
+        SequenceEntry(
             "dyck_central_peak",
             "A001105",
             "inset(1,m+1,m) = 2(m+1)^2",
-            cell=lambda m: (1, m + 1, m),
+            _line(lambda m: (1, m + 1, m)),
             closed_form=lambda m: 2 * (m + 1) * (m + 1),
         ),
-        _entry(
+        SequenceEntry(
             "even_squares_sum",
             "A002492",
             "inset(1,m+2,m): sum of the first m+1 even squares",
-            cell=lambda m: (1, m + 2, m),
+            _line(lambda m: (1, m + 2, m)),
             closed_form=lambda m: exact_div(2 * (m + 1) * (m + 2) * (2 * m + 3), 3),
         ),
-        _entry(
+        SequenceEntry(
             "walk_variance",
             "A072819",
             "inset(1,m+3,m): variance of the exit time of a symmetric walk from [-m-2, m+2]",
-            cell=lambda m: (1, m + 3, m),
+            _line(lambda m: (1, m + 3, m)),
             closed_form=lambda m: exact_div(2 * (m + 2) ** 2 * ((m + 2) ** 2 - 1), 3),
         ),
-        _entry(
+        SequenceEntry(
             "hyperbola_regions",
             "A058331",
             "inset(3,m,m+1) = 2(m+1)^2 + 1: plane regions from m hyperbolas",
-            cell=lambda m: (3, m, m + 1),
+            _line(lambda m: (3, m, m + 1)),
             closed_form=lambda m: 2 * (m + 1) * (m + 1) + 1,
         ),
-        _entry(
+        SequenceEntry(
             "dyck_two_levels",
             "A176479",
             "inset(n+1,n-1,n): Dyck paths with n peaks at level 1 and n at level 2",
-            cell=lambda n: (n + 1, n - 1, n),
+            _line(lambda n: (n + 1, n - 1, n)),
             start=1,
         ),
-        _entry(
+        SequenceEntry(
             "lee_sphere",
             "A181675",
             "inset(n^2,n,n): lattice points in the n-dimensional ball of radius n^2",
-            cell=lambda n: (n * n, n, n),
+            _line(lambda n: (n * n, n, n)),
         ),
-        _entry(
+        SequenceEntry(
             "braun_hough_cells",
             "braun_hough_cells",
             "inset(2,n-d+2,3d-2n): d-cell counts of the Braun-Hough complexes, valid cells by rows",
-            value_fn=lambda i: (lambda n, d: braun_hough_cells(d, n))(*_cell_table_cell(i)),
+            _rows(
+                lambda n: range((2 * n + 2) // 3, (3 * n + 4) // 4 + 1),
+                lambda n, d: braun_hough_cells(d, n),
+            ),
         ),
     ]
     return entries
@@ -440,7 +412,7 @@ def generate(key: str, count: int) -> SequenceSlice:
     if count < 1:
         raise ValueError("count must be positive")
     entry = get_entry(key)
-    values = [entry.value_fn(entry.start + i) for i in range(count)]
+    values = list(itertools.islice(entry.terms(entry.start), count))
     return SequenceSlice(key=key, start=entry.start, values=values)
 
 
@@ -456,8 +428,7 @@ def validate(key: str, fixture: BFile) -> ValidationReport:
     if not fixture.entries:
         raise FixtureError(f"fixture unavailable for {key}: no entries")
     fvals = fixture.values
-    gen_count = min(40, len(fvals) + 4)
-    gvals = [entry.value_fn(entry.start + i) for i in range(gen_count)]
+    gvals = generate(key, min(40, len(fvals) + 4)).values
 
     best: tuple[int, int, tuple[int, int, int] | None] | None = None
     for off in OFFSET_SEARCH:

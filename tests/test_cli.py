@@ -1,10 +1,12 @@
 import contextlib
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +218,16 @@ def test_words_cap_refused_before_any_output(capsys):
     assert "exceeds enumeration cap" in captured.err
 
 
+def test_words_over_cap_refused_before_counting(capsys):
+    # inset(10**5, 10**5, 10**5) alone takes seconds; the cap must refuse first
+    start = time.perf_counter()
+    assert cli.main(["words", "100000", "100000", "100000", "--limit", "1"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds enumeration cap" in captured.err
+
+
 def test_words_limit_runs_in_bounded_memory(capsys):
     tracemalloc.start()
     try:
@@ -323,3 +335,21 @@ def test_subcommand_imports_only_its_modules(argv, own, absent):
     assert code == "0"
     assert f"insets.{own}" in loaded
     assert sorted(absent.intersection(loaded)) == []
+
+
+_README_EXAMPLE = re.compile(r"^insets (.+?)\s+# -> (.+)$")
+_README_EXAMPLES = [
+    found.groups()
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    if (found := _README_EXAMPLE.match(line))
+]
+
+
+def test_readme_has_cli_examples():
+    assert len(_README_EXAMPLES) >= 4
+
+
+@pytest.mark.parametrize("command,expected", _README_EXAMPLES)
+def test_readme_cli_example(capsys, command, expected):
+    assert cli.main(command.split()) == 0
+    assert capsys.readouterr().out == expected + "\n"

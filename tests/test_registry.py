@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from insets import oeis, registry
@@ -92,8 +95,9 @@ def test_closed_forms_agree_with_inset_route():
     for entry in list_entries():
         if entry.closed_form is None:
             continue
-        for i in range(entry.start, entry.start + 16):
-            assert entry.closed_form(i) == entry.value_fn(i), (entry.key, i)
+        values = generate(entry.key, 16).values
+        for i, value in enumerate(values, entry.start):
+            assert entry.closed_form(i) == value, (entry.key, i)
 
 
 def test_exact_div_guards():
@@ -175,7 +179,7 @@ def test_validate_rejects_empty_fixture():
 
 
 def test_validate_reports_mismatch():
-    entry_values = [get_entry("squares").value_fn(i) for i in range(30)]
+    entry_values = list(itertools.islice(get_entry("squares").terms(0), 30))
     entry_values[7] += 1  # corrupt one term
     fixture = BFile(
         oeis_id="A000290",
@@ -186,3 +190,75 @@ def test_validate_reports_mismatch():
     assert report.status == "provisional"
     assert report.mismatch is not None
     assert report.mismatch[0] == 7
+
+
+def test_whole_fixtures_agree():
+    # validate compares at most 40 terms; here every fixture term at or past
+    # the reported offset is compared
+    cfg = oeis.default_config()
+    for entry in list_entries():
+        fixture = oeis.load(entry.fixture_id, cfg)
+        off = validate(entry.key, fixture).offset
+        fvals = fixture.values
+        gvals = generate(entry.key, len(fvals) - off).values
+        lo = max(0, -off)
+        assert len(gvals) - lo == len(fvals) - max(0, off), entry.key
+        for i in range(lo, len(gvals)):
+            assert gvals[i] == fvals[i + off], (entry.key, entry.start + i)
+
+
+def _antidiagonal(i):
+    d = (math.isqrt(8 * i + 1) - 1) // 2
+    return d, i - d * (d + 1) // 2
+
+
+def _lucas_cell(i):
+    # rows m = 0, 1, ... of lengths m + 2
+    m = 0
+    while (m + 1) * (m + 4) // 2 <= i:
+        m += 1
+    return m, i - m * (m + 3) // 2
+
+
+def _cell_table_cell(i):
+    # valid (n, d) cells of the cell-count table, row by row in n
+    seen = 0
+    n = 0
+    while True:
+        d_lo = (2 * n + 2) // 3
+        width = (3 * n + 4) // 4 - d_lo + 1
+        if seen + width > i:
+            return n, d_lo + (i - seen)
+        seen += width
+        n += 1
+
+
+# index -> cell decoders, which owe nothing to the streams' cell walks: their oracle
+_DECODED = {
+    "delannoy": (2000, lambda i: (lambda d, j: inset(j, d - j, d - j))(*_antidiagonal(i))),
+    "asymmetric_delannoy": (2000, lambda i: (lambda d, j: inset(j, d - j, j))(*_antidiagonal(i))),
+    "sulanke_even": (2000, lambda i: (lambda d, j: sulanke(d - j, j))(*_antidiagonal(i))),
+    "sulanke_odd": (2000, lambda i: (lambda d, j: sulanke(d - j, j))(*_antidiagonal(i))),
+    "lucas_triangle": (300, lambda i: (lambda m, k: inset(m, 1, k))(*_lucas_cell(i))),
+    "braun_hough_cells": (
+        300, lambda i: (lambda n, d: braun_hough_cells(d, n))(*_cell_table_cell(i))
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_DECODED))
+def test_array_streams_match_index_decoding(key):
+    count, term = _DECODED[key]
+    start = get_entry(key).start
+    assert generate(key, count).values == [term(start + i) for i in range(count)]
+
+
+@pytest.mark.parametrize("entry", list_entries(), ids=lambda e: e.key)
+def test_terms_start_anywhere_and_keep_no_state(entry):
+    stream = entry.terms(entry.start)
+    values = list(itertools.islice(stream, 120))
+    for j in (0, 1, 2, 7, 38, 119):
+        assert next(entry.terms(entry.start + j)) == values[j], (entry.key, j)
+    # a fresh iterator per call: the stream read above does not advance a new one
+    assert list(itertools.islice(entry.terms(entry.start), 3)) == values[:3]
+    assert next(stream) == next(entry.terms(entry.start + 120))
