@@ -15,12 +15,12 @@ against each other:
 * :func:`inset_binomial_sum`  -- an all-nonnegative double-binomial sum,
 * :func:`inset_dp`            -- dynamic programming over the block count.
 
-:func:`inset` is the canonical entry point.  It walks the binomial-sum
-terms with a term-ratio kernel: each term follows from the last by one exact
-multiply-divide step.  The four routes above are the independent oracles it
-is checked against.  It keeps no cache; a caller that reads a cell many times
-keeps its own table for the length of its call, as
-:func:`insets.identities.verify` does.
+:func:`inset` is the canonical entry point.  It walks the power-sum terms
+with a term-ratio kernel: each term follows from the last by one exact
+multiply-divide step, and there are min(m, n, k, m+n-k) + 1 of them.  The
+four routes above are the independent oracles it is checked against.  It
+keeps no cache; a caller that reads a cell many times keeps its own table
+for the length of its call, as :func:`insets.identities.verify` does.
 
 All values are exact Python integers.  Everything here is a pure function
 of its arguments.  :func:`inset` keeps no state at all; concurrent
@@ -133,19 +133,21 @@ def inset_dp(m: int, n: int, k: int) -> int:
 def inset(m: int, n: int, k: int) -> int:
     """Canonical inset number, from the term-ratio kernel; not cached.
 
-    Sums C(n,i) C(m+i,k), each term derived from the one before it:
-    term(i+1) / term(i) = (n-i)(m+i+1) / ((i+1)(m+i+1-k)), and the floor
-    division is exact because its result is the integer term(i+1).  Equals
-    all four evaluation routes, which serve as its oracles; 0 exactly when
-    k > m + n.
+    Sums 2^(n-k+i) C(m,i) C(n,k-i) over max(0, k-n) <= i <= min(m, k), each
+    term derived from the one before it:
+    term(i+1) / term(i) = 2(m-i)(k-i) / ((i+1)(n-k+i+1)), and the floor
+    division is exact because its result is the integer term(i+1).  That is
+    min(m, n, k, m+n-k) + 1 terms, so a narrow free block (small m) costs
+    only a few steps however large n is.  Equals all four evaluation routes,
+    which serve as its oracles; 0 exactly when k > m + n.
     """
     _check_index(m, n, k)
     if k > m + n:
         return 0
-    i0 = max(0, k - m)
-    term = total = math.comb(n, i0) * math.comb(m + i0, k)
-    for i in range(i0, n):
-        term = term * ((n - i) * (m + i + 1)) // ((i + 1) * (m + i + 1 - k))
+    i0 = max(0, k - n)
+    term = total = (math.comb(m, i0) * math.comb(n, k - i0)) << (n - k + i0)
+    for i in range(i0, min(m, k)):
+        term = term * (2 * (m - i) * (k - i)) // ((i + 1) * (n - k + i + 1))
         total += term
     return total
 

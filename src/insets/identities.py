@@ -28,15 +28,33 @@ the reversed orientation fails on the very first nontrivial cell.
 Each call reads its values from one table that lives only for that call
 (:func:`verify_all` shares one across its thirteen identities).  A cell is
 asked of the value source, ``inset`` or the injected ``inset_fn``, the first
-time it is read and never again.  The table also hands out two contiguous
-runs of its cells, f(m, ., k) along n and f(., n, k) along m.  Each inner
-sum of ``alternating_shift`` and ``zeros_placement`` is then one
-``sum(map(mul, row, run))`` against a Pascal row built for the call (with
-the signs folded in for ``alternating_shift``), and each ``horizontal_*``
-sum is the sum of a run.  ``telescoping`` keeps a running sum over p, and
-``convolution`` sums C(i, j) C(m, k-i+j) over j against a zero-padded row of
-C(m, .).  Every grid cell, every p and every comparison is the same as in the
-term-by-term forms above, in the same order, so reports are unchanged.
+time it is read and never again.
+
+Three identities have an inner sum over an auxiliary index p, and
+re-summing it for every p costs O(p^2) work per grid cell.  Instead the table
+keeps, for each k, the current step m of a transform of the cells, and moves
+it to m+1 with one subtraction per entry when the grid's m grows (Graham,
+Knuth and Patashnik, *Concrete Mathematics*, 2nd ed., section 5.3).  The
+checkers of the first two read the right-hand sides for all p as one list:
+
+* ``alternating_shift``: the right-hand side at p is the p-th forward
+  difference Delta^p f(m-p+1, ., k) along n, taken at n-1.  The list D[x]
+  holds these differences at x for p = 0..m.  It steps to m+1 as
+  D[x] <- [f(m+2, x, k), *(D[x+1] - D[x])].
+* ``zeros_placement``: the right-hand side at p is the binomial transform
+  sum_i C(p,i) f(m+i, n-p, k).  The list D[n] holds these for p = 0..n, the
+  one at p in entry n-p.  It steps to m+1 as D[n] <- D[n+1] - D[n], entry by
+  entry, and the top list D[n_max] is summed afresh from the cells, one
+  Pascal-row sum per entry.
+* ``convolution``: the inner sums sum_j C(i,j) C(m, k-i+j) are tabled once
+  per m, so each cell is one sum over i.
+
+Each transform reads the cells the term-by-term forms above read, sized from
+m_max and n_max, so the table asks the source for the same cells.  The
+``horizontal_*`` sums are sums of runs f(., n, k) along m, and
+``telescoping`` keeps a running sum over p.  Every grid cell, every p and
+every comparison, with its lhs and rhs values, is the same as in the
+term-by-term forms, in the same order, so reports are unchanged.
 """
 
 from __future__ import annotations
@@ -44,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Optional
 
 from .core import inset
@@ -74,37 +92,28 @@ class _Table(dict):
     """The inset values one verification call reads, keyed ``(m, n, k)``.
 
     A cell is filled from the value source the first time it is read: 0 when
-    k < 0, otherwise ``source(m, n, k)``.  A run is sliced from a row of
-    cells kept per line and grown from index 0, so a row may hold a few
-    cells that no comparison reads.  The table also holds the Pascal
-    rows C(p, 0..p) for p <= ``size``, the same rows with the signs of
-    ``alternating_shift`` folded in, and C(m, ·) behind ``size`` zeros.
+    k < 0, otherwise ``source(m, n, k)``.  A run along m is sliced from a row
+    of cells kept per (n, k) and grown from index 0.  The transforms of
+    :meth:`differences` and :meth:`placements` keep only their current step
+    per k, and :meth:`inner` only the current m.  The table also holds the
+    Pascal rows C(p, 0..p) for p <= ``n_max``.
     """
 
-    def __init__(self, source: InsetFn, size: int) -> None:
+    def __init__(self, source: InsetFn, m_max: int, n_max: int) -> None:
         super().__init__()
         self.source = source
-        self.size = size
-        rows = [[math.comb(p, j) for j in range(p + 1)] for p in range(size + 1)]
-        self.pascal = rows
-        # signed[p][j] = (-1)^(p-j) C(p, j), the coefficient of f(., n-1+j, .)
-        self.signed = [[c if (p - j) % 2 == 0 else -c for j, c in enumerate(row)]
-                       for p, row in enumerate(rows)]
-        self.padded = [[0] * size + row for row in rows]
-        self._rows_n: dict[tuple[int, int], list[int]] = {}
+        self.m_max = m_max
+        self.n_max = n_max
+        self.pascal = [[math.comb(p, j) for j in range(p + 1)] for p in range(n_max + 1)]
         self._rows_m: dict[tuple[int, int], list[int]] = {}
+        self._differences: dict[int, tuple[int, list[list[int]]]] = {}
+        self._placements: dict[int, tuple[int, list[list[int]], list[list[int]]]] = {}
+        self._inner: tuple[int, list[list[int]]] = (-1, [])
 
     def __missing__(self, key: tuple[int, int, int]) -> int:
         m, n, k = key
         value = self[key] = 0 if k < 0 else self.source(m, n, k)
         return value
-
-    def along_n(self, m: int, n: int, k: int, count: int) -> list[int]:
-        """f(m, n + j, k) for j < count, sliced from the row kept for (m, k)."""
-        row = self._rows_n.setdefault((m, k), [])
-        if len(row) < n + count:
-            row += map(self.__getitem__, zip(repeat(m), range(len(row), n + count), repeat(k)))
-        return row[n:n + count]
 
     def along_m(self, m: int, n: int, k: int, count: int) -> list[int]:
         """f(m + j, n, k) for j < count, sliced from the row kept for (n, k)."""
@@ -113,9 +122,70 @@ class _Table(dict):
             row += map(self.__getitem__, zip(range(len(row), m + count), repeat(n), repeat(k)))
         return row[m:m + count]
 
+    def differences(self, m: int, k: int) -> list[list[int]]:
+        """D[x][p] = Delta^p f(m-p+1, ., k) at x, for x < m_max + n_max - m and p <= m.
+
+        D[x][p] = sum_i (-1)^i C(p,i) f(m-p+1, x+p-i, k), and list D[n-1]
+        holds the right-hand sides of ``alternating_shift`` at (m, n, k).
+        Moving to m+1 takes D[x+1] - D[x] for each x, behind one fresh cell
+        f(m+2, x, k).
+        """
+        at, cols = self._differences.get(k, (-1, []))
+        if at < 0:
+            at, cols = 0, [[self[1, x, k]] for x in range(self.m_max + self.n_max)]
+        while at < m:
+            at += 1
+            cols = [[self[at + 1, x, k], *map(sub, nxt, col)]
+                    for x, (col, nxt) in enumerate(zip(cols, cols[1:]))]
+        self._differences[k] = at, cols
+        return cols
+
+    def placements(self, m: int, k: int) -> list[list[int]]:
+        """D[n][n'] = sum_i C(n-n',i) f(m+i, n', k) for n' <= n <= n_max.
+
+        D[n][n-p] is the right-hand side of ``zeros_placement`` at
+        (m, n, k, p).  Moving to m+1 takes D[n+1][n'] - D[n][n'] for
+        n < n_max and sums D[n_max] afresh from the columns f(., n', k),
+        which are read once, to their full length m_max + n_max - n' + 1.
+        """
+        at, cols, diags = self._placements.get(k, (-1, [], []))
+        if at < 0:
+            cols = [[self[i, n, k] for i in range(self.m_max + self.n_max - n + 1)]
+                    for n in range(self.n_max + 1)]
+            at, diags = 0, [self._pascal_sums(cols, 0, n) for n in range(self.n_max + 1)]
+        while at < m:
+            at += 1
+            diags = [*(list(map(sub, nxt, diag)) for diag, nxt in zip(diags, diags[1:])),
+                     self._pascal_sums(cols, at, self.n_max)]
+        self._placements[k] = at, cols, diags
+        return diags
+
+    def _pascal_sums(self, cols: list[list[int]], m: int, n: int) -> list[int]:
+        """sum_i C(n-n',i) cols[n'][m+i] for n' = 0..n."""
+        return [sum(map(mul, self.pascal[n - j], col[m:m + n - j + 1]))
+                for j, col in enumerate(cols[:n + 1])]
+
+    def inner(self, m: int) -> list[list[int]]:
+        """T[k][i] = sum_j C(i,j) C(m, k-i+j) for k <= m + n_max + 2, i <= n_max."""
+        if self._inner[0] != m:
+            # C(m, .) behind n_max zeros; a slice running off its end adds nothing
+            padded = [0] * self.n_max + [math.comb(m, j) for j in range(m + 1)]
+            rows = [[sum(map(mul, row, padded[z - i:z + 1])) for i, row in enumerate(self.pascal)]
+                    for z in range(self.n_max, m + 2 * self.n_max + 3)]
+            self._inner = m, rows
+        return self._inner[1]
+
 
 # table -> None or (params, lhs, rhs)
 _Checker = Callable[[_Table, int, int, int], Optional[tuple[tuple[int, ...], int, int]]]
+
+
+def _first_differing(params, lhs, rhs):
+    """None if lhs equals rhs[p] for every p, else the comparison at the first p that differs."""
+    if rhs.count(lhs) == len(rhs):
+        return None
+    p = next(p for p, value in enumerate(rhs) if value != lhs)
+    return ((*params, p), lhs, rhs[p])
 
 
 def _check_pascal(f, m, n, k):
@@ -145,14 +215,8 @@ def _check_doubling(f, m, n, k):
 def _check_alternating_shift(f, m, n, k):
     if n < 1:
         return None
-    lhs = f[m + 1, n - 1, k]
-    for p in range(m + 1):
-        # term i reads f(m-p+1, n+p-1-i, k): entry p-i of the run from n-1
-        run = f.along_n(m - p + 1, n - 1, k, p + 1)
-        rhs = sum(map(mul, f.signed[p], run))
-        if lhs != rhs:
-            return ((m, n, k, p), lhs, rhs)
-    return None
+    # rhs at p is the p-th forward difference of f(m-p+1, ., k), at n-1
+    return _first_differing((m, n, k), f[m + 1, n - 1, k], f.differences(m, k)[n - 1])
 
 
 def _closed_head(n: int, k: int) -> int:
@@ -188,12 +252,8 @@ def _check_telescoping(f, m, n, k):
 
 
 def _check_zeros_placement(f, m, n, k):
-    lhs = f[m, n, k]
-    for p in range(n + 1):
-        rhs = sum(map(mul, f.pascal[p], f.along_m(m, n - p, k, p + 1)))
-        if lhs != rhs:
-            return ((m, n, k, p), lhs, rhs)
-    return None
+    # rhs at p is the binomial transform of f(., n-p, k), taken at p
+    return _first_differing((m, n, k), f[m, n, k], f.placements(m, k)[n][::-1])
 
 
 def _check_binomial_sum(f, m, n, k):
@@ -205,9 +265,8 @@ def _check_binomial_sum(f, m, n, k):
 
 def _check_convolution(f, m, n, k):
     lhs = f[m, n, k]
-    # inner sum over j: C(i, j) against C(m, k-i+j), read from the padded row
-    pad, z, pascal = f.padded[m], f.size + k, f.pascal
-    rhs = sum(c * sum(map(mul, pascal[i], pad[z - i:z + 1])) for i, c in enumerate(pascal[n]))
+    # the inner sums over j, C(i, j) C(m, k-i+j) for each i, are tabled once per m
+    rhs = sum(map(mul, f.pascal[n], f.inner(m)[k]))
     return None if lhs == rhs else ((m, n, k), lhs, rhs)
 
 
@@ -286,7 +345,7 @@ def _table(m_max: int, n_max: int, inset_fn: InsetFn | None) -> _Table:
     if m_max < 0 or n_max < 0:
         raise ValueError("grid bounds must be nonnegative")
     # ``inset`` is looked up per call, so it can be patched in tests
-    return _Table(inset_fn if inset_fn is not None else inset, max(m_max, n_max))
+    return _Table(inset_fn if inset_fn is not None else inset, m_max, n_max)
 
 
 def _verify(f: _Table, identity: str, m_max: int, n_max: int) -> GridReport:

@@ -3,7 +3,8 @@
 Each entry is a stream of terms: ``entry.terms(i)`` returns a fresh
 iterator over the terms from linear index ``i`` on, and nothing is cached
 between calls, so ``next(entry.terms(i))`` is term ``i``.  Most entries
-read one inset cell per index, a few read sums or two-dimensional arrays.
+read one inset cell per index, a few read sums or two-dimensional arrays,
+and ``central_delannoy`` walks a P-recursive recurrence from two inset cells.
 Each also names the fixture it is validated against, and optionally carries
 a closed form that must agree with the inset route term by term.
 
@@ -106,6 +107,24 @@ def fibonacci_by_insets(m: int) -> int:
     if m < 0:
         raise ValueError("index must be nonnegative")
     return sum(inset(m - i, 1, i) for i in range((m + 1) // 2 + 1))
+
+
+def central_delannoy(start: int) -> Iterator[int]:
+    """The central Delannoy numbers inset(n, n, n) for n = start, start + 1, ...
+
+    The first two terms come from :func:`inset`; each later one follows from
+    the two before by n a(n) = 3(2n-1) a(n-1) - (n-1) a(n-2) (OEIS A001850).
+    Zeilberger's algorithm finds this recurrence for the sum
+    sum_i C(n,i) C(n+i,n) (Petkovsek, Wilf and Zeilberger, *A = B*, 1996,
+    ch. 6).  Each step is one exact division, not an O(n) kernel run.
+    """
+    prev = inset(start, start, start)
+    yield prev
+    cur = inset(start + 1, start + 1, start + 1)
+    yield cur
+    for n in itertools.count(start + 2):
+        prev, cur = cur, exact_div(3 * (2 * n - 1) * cur - (n - 1) * prev, n)
+        yield cur
 
 
 def braun_hough_cells(d: int, n: int) -> int:
@@ -229,7 +248,7 @@ def _build_catalog() -> list[SequenceEntry]:
             "central_delannoy",
             "A001850",
             "inset(n,n,n): central Delannoy numbers",
-            _line(lambda n: (n, n, n)),
+            central_delannoy,
         ),
         SequenceEntry(
             "asymmetric_delannoy",

@@ -95,9 +95,27 @@ def test_inset_matches_binomial_sum_at_large_indices(index):
     "m,n", [(0, 0), (0, 1), (1, 0), (0, 250), (250, 0), (37, 211), (300, 300)]
 )
 def test_inset_edges_match_binomial_sum(m, n):
-    # k = 0, k = m+n and k = m+n+1, plus the kernel's start switch at k = m
+    # k = 0, k = m+n and k = m+n+1, plus the kernel's start switch at k = n
+    # and its stop switch at k = m
     for k in {0, 1, n, m, max(0, m + n - 1), m + n, m + n + 1}:
         assert inset(m, n, k) == inset_binomial_sum(m, n, k), (m, n, k)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 64, 999, 2000])
+def test_inset_narrow_free_block_matches_trapeze_rows(n):
+    # m << n, every k: the kernel walks at most m + 1 terms, and the rows are
+    # built from 2^(n-k) C(n, k) by Pascal steps, with no term ratio
+    for m, row in enumerate(trapeze_table(n, 3)):
+        assert [inset(m, n, k) for k in range(m + n + 2)] == row + [0], (m, n)
+
+
+def test_inset_narrow_free_block_at_n_4000():
+    # every k near both ends and every 53rd k between, against the directly
+    # summed power sum; each value costs a C(4000, .) or four
+    n = 4000
+    for m in range(4):
+        for k in {*range(8), *range(0, m + n + 2, 53), *range(m + n - 7, m + n + 2)}:
+            assert inset(m, n, k) == inset_power_sum(m, n, k), (m, k)
 
 
 def test_inset_large_matches_power_sum():

@@ -1,9 +1,19 @@
+import math
+import random
+import tracemalloc
 from collections import Counter
+from operator import mul
 
 import pytest
 
 from insets.core import inset
-from insets.identities import IDENTITY_NAMES, GridReport, verify, verify_all
+from insets.identities import (
+    IDENTITY_NAMES,
+    Counterexample,
+    GridReport,
+    verify,
+    verify_all,
+)
 
 
 def test_thirteen_identities():
@@ -151,3 +161,134 @@ def test_verify_all_shares_one_table():
     asked, source = _counting_source()
     assert all(r.passed for r in verify_all(6, 6, inset_fn=source))
     assert asked and max(asked.values()) == 1
+
+
+# Distinct cells each identity asks of its source on a passing grid, in
+# IDENTITY_NAMES order; the grids total 6809, 5688, 5895, 6687 and 6962.
+# Recorded while the inner sums of alternating_shift, zeros_placement and
+# convolution were still summed term by term for every p.  The non-square
+# grids show a run sized from max(m_max, n_max) instead of from m_max and
+# n_max.
+CELLS_ASKED = {
+    (6, 6): [483, 558, 483, 945, 672, 392, 476, 1050, 441, 441, 385, 441, 42],
+    (3, 9): [390, 495, 396, 630, 525, 200, 392, 1275, 360, 360, 230, 360, 75],
+    (9, 3): [396, 432, 390, 1125, 594, 440, 380, 690, 360, 360, 350, 360, 18],
+    (2, 12): [416, 564, 426, 663, 572, 156, 423, 1989, 390, 390, 191, 390, 117],
+    (12, 2): [426, 449, 416, 1768, 672, 546, 403, 714, 390, 390, 386, 390, 12],
+}
+
+
+@pytest.mark.parametrize("grid", CELLS_ASKED, ids=lambda g: f"{g[0]}x{g[1]}")
+def test_cells_asked_per_identity(grid):
+    counts = []
+    for name in IDENTITY_NAMES:
+        asked, source = _counting_source()
+        assert verify(name, *grid, inset_fn=source).passed
+        counts.append(len(asked))
+    assert counts == CELLS_ASKED[grid]
+
+
+# The three identities with a transformed inner sum on non-square grids, with
+# +1 planted at the far end of a run (alternating_shift: f(m', ., k) along n,
+# zeros_placement: f(., n', k) along m) or at the last cell of the grid
+# (convolution).  Recorded with the same term-by-term sums.
+NON_SQUARE_GOLDEN = [
+    ("alternating_shift", (3, 9), (1, 11, 7), (3, 9, 7, 3), 9424, 9425),
+    ("alternating_shift", (9, 3), (1, 11, 7), (9, 3, 7, 9), 1572, 1573),
+    ("alternating_shift", (3, 9), (2, 10, 14), (3, 9, 14, 2), 0, 1),
+    ("alternating_shift", (9, 3), (4, 8, 14), (9, 3, 14, 6), 0, 1),
+    ("zeros_placement", (3, 9), (10, 2, 7), (3, 9, 7, 7), 12240, 12241),
+    ("zeros_placement", (9, 3), (11, 1, 7), (9, 3, 7, 2), 2178, 2179),
+    ("zeros_placement", (3, 9), (12, 0, 14), (3, 9, 14, 9), 0, 1),
+    ("zeros_placement", (9, 3), (12, 0, 14), (9, 3, 14, 3), 0, 1),
+    ("convolution", (3, 9), (3, 9, 14), (3, 9, 14), 1, 0),
+    ("convolution", (9, 3), (9, 3, 14), (9, 3, 14), 1, 0),
+    ("convolution", (3, 9), (3, 9, 5), (3, 9, 5), 34849, 34848),
+    ("convolution", (9, 3), (9, 3, 5), (9, 3, 5), 3061, 3060),
+]
+
+
+@pytest.mark.parametrize(
+    "name,grid,cell,params,lhs,rhs",
+    NON_SQUARE_GOLDEN,
+    ids=[f"{name}-{g[0]}x{g[1]}-{'-'.join(map(str, cell))}"
+         for name, g, cell, *_ in NON_SQUARE_GOLDEN],
+)
+def test_non_square_planted_golden(name, grid, cell, params, lhs, rhs):
+    report = verify(name, *grid, inset_fn=_off_by_one_at(cell))
+    assert not report.passed
+    ce = report.counterexample
+    assert (ce.params, ce.lhs, ce.rhs) == (params, lhs, rhs)
+
+
+@pytest.mark.parametrize("name", ["alternating_shift", "zeros_placement"])
+def test_transform_memory_stays_small(name):
+    # the value table plus one step of the transform per k: 2.5 MB on 18 x 18;
+    # keeping every step of it takes about 7.5 MB
+    tracemalloc.start()
+    try:
+        assert verify(name, 18, 18).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def _term_by_term(name, m_max, n_max, f):
+    """Every comparison (params, lhs, rhs) of three identities, in grid order,
+    with each inner sum summed afresh: signed and Pascal rows against runs of
+    cells, and the convolution's inner sum against a zero-padded C(m, .)."""
+    size = max(m_max, n_max)
+    pascal = [[math.comb(p, j) for j in range(p + 1)] for p in range(size + 1)]
+    signed = [[c if (p - j) % 2 == 0 else -c for j, c in enumerate(row)]
+              for p, row in enumerate(pascal)]
+    padded = [[0] * size + row for row in pascal]
+    for m in range(m_max + 1):
+        for n in range(n_max + 1):
+            for k in range(m + n + 3):
+                if name == "alternating_shift" and n >= 1:
+                    lhs = f(m + 1, n - 1, k)
+                    for p in range(m + 1):
+                        run = [f(m - p + 1, n - 1 + j, k) for j in range(p + 1)]
+                        yield (m, n, k, p), lhs, sum(map(mul, signed[p], run))
+                elif name == "zeros_placement":
+                    lhs = f(m, n, k)
+                    for p in range(n + 1):
+                        run = [f(m + i, n - p, k) for i in range(p + 1)]
+                        yield (m, n, k, p), lhs, sum(map(mul, pascal[p], run))
+                elif name == "convolution":
+                    pad, z = padded[m], size + k
+                    rhs = sum(c * sum(map(mul, pascal[i], pad[z - i:z + 1]))
+                              for i, c in enumerate(pascal[n]))
+                    yield (m, n, k), f(m, n, k), rhs
+
+
+def _reference_report(name, m_max, n_max, source, read=None):
+    cells = {}
+
+    def f(m, n, k):
+        if (m, n, k) not in cells:
+            cells[m, n, k] = 0 if k < 0 else source(m, n, k)
+        return cells[m, n, k]
+
+    report = GridReport(name, m_max, n_max, True, None)
+    for params, lhs, rhs in _term_by_term(name, m_max, n_max, f):
+        if lhs != rhs:
+            report = GridReport(name, m_max, n_max, False, Counterexample(params, lhs, rhs))
+            break
+    if read is not None:
+        read.update(k for k in cells if k[2] >= 0)
+    return report
+
+
+@pytest.mark.parametrize("name", ["alternating_shift", "zeros_placement", "convolution"])
+@pytest.mark.parametrize("grid", [(8, 8), (2, 12), (12, 2)], ids=lambda g: f"{g[0]}x{g[1]}")
+def test_transforms_match_term_by_term_reports(name, grid):
+    read = set()
+    clean = _reference_report(name, *grid, inset, read)
+    assert clean.passed and verify(name, *grid) == clean
+    rng = random.Random(f"{name}:{grid}")
+    for cell in rng.sample(sorted(read), 25):
+        planted = _off_by_one_at(cell)
+        want = _reference_report(name, *grid, planted)
+        assert verify(name, *grid, inset_fn=planted) == want, cell

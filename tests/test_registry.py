@@ -9,6 +9,7 @@ from insets.errors import FixtureError
 from insets.oeis import BFile
 from insets.registry import (
     braun_hough_cells,
+    central_delannoy,
     exact_div,
     fibonacci_by_insets,
     generate,
@@ -262,3 +263,15 @@ def test_terms_start_anywhere_and_keep_no_state(entry):
     # a fresh iterator per call: the stream read above does not advance a new one
     assert list(itertools.islice(entry.terms(entry.start), 3)) == values[:3]
     assert next(stream) == next(entry.terms(entry.start + 120))
+
+
+def test_central_delannoy_recurrence_matches_kernel():
+    # the recurrence walk against one kernel run per sampled term
+    assert generate("central_delannoy", 300).values == [inset(n, n, n) for n in range(300)]
+    walked = list(itertools.islice(central_delannoy(0), 3001))
+    for n in (301, 999, 1500, 2222, 3000):
+        assert walked[n] == inset(n, n, n), n
+    # a stream seeded at a later start walks on to the same terms
+    for start in (5, 1000, 2997):
+        seeded = itertools.islice(get_entry("central_delannoy").terms(start), 4)
+        assert list(seeded) == walked[start:start + 4], start
