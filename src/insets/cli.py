@@ -26,9 +26,10 @@ from .errors import CapExceededError, FixtureError
 
 WORD_LISTING_GUARD = 10_000
 MAX_SERIES_ORDER = 512
-# verify_all(32, 32), the work of `verify all 32 32`, took 2.6-3.1 s and 39.5 MB
-# on a 2-core VM with Python 3.11.7, and verify_all(36, 36) 4.4 s: from 16 to
-# 36 the cost grows about as the 3.3rd power of the bound
+# verify_all(32, 32), the work of `verify all 32 32`, took 2.6-3.1 s and
+# 36.1-36.5 MB peak RSS on a 2-core VM with Python 3.11.7, and
+# verify_all(36, 36) 4.4 s: from 16 to 36 the cost grows about as the 3.3rd
+# power of the bound
 MAX_VERIFY_GRID = 32
 
 

@@ -23,9 +23,7 @@ keeps no cache; a caller that reads a cell many times keeps its own table
 for the length of its call, as :func:`insets.identities.verify` does.
 
 All values are exact Python integers.  Everything here is a pure function
-of its arguments.  :func:`inset` keeps no state at all; concurrent
-:func:`inset_dp` calls may duplicate work on a row not yet memoized, but
-always store identical rows.
+of its arguments, and the module keeps no state at all.
 """
 
 from __future__ import annotations
@@ -100,33 +98,19 @@ def inset_binomial_sum(m: int, n: int, k: int) -> int:
     return sum(math.comb(n, i) * binomial(m + i, k) for i in range(n + 1))
 
 
-# Rows keyed by (m, block count); a stored row never changes.  This is the
-# package's last unbounded process-wide memo.  It stays only until the
-# benchmark checks build their own DP rows (ROADMAP item 1), because today
-# they lean on it for speed.
-_DP_ROWS: dict[tuple[int, int], list[int]] = {}
-
-
 def inset_dp(m: int, n: int, k: int) -> int:
     """Recurrence route over n: f(m,n,k) = 2 f(m,n-1,k) + f(m,n-1,k-1).
 
-    The base row f(m,0,k) = C(m,k) is the ordinary Pascal triangle.
-    Rows are memoized across calls.
+    The base row f(m,0,j) = C(m,j) is the ordinary Pascal triangle.  The rows
+    are built afresh for each call and stop at index k, since entries past k
+    never feed f(m,n,k).
     """
     _check_index(m, n, k)
     if k > m + n:
         return 0
-    row = _DP_ROWS.get((m, n))
-    if row is None:
-        row = _DP_ROWS.setdefault((m, 0), [math.comb(m, j) for j in range(m + 1)])
-        for n2 in range(1, n + 1):
-            prev = row
-            row = [
-                2 * (prev[j] if j < len(prev) else 0)
-                + (prev[j - 1] if 0 < j <= len(prev) else 0)
-                for j in range(m + n2 + 1)
-            ]
-            row = _DP_ROWS.setdefault((m, n2), row)
+    row = [math.comb(m, j) for j in range(k + 1)]
+    for _ in range(n):
+        row = [2 * a + b for a, b in zip(row, [0, *row])]
     return row[k]
 
 

@@ -28,7 +28,8 @@ the reversed orientation fails on the very first nontrivial cell.
 Each call reads its values from one table that lives only for that call
 (:func:`verify_all` shares one across its thirteen identities).  A cell is
 asked of the value source, ``inset`` or the injected ``inset_fn``, the first
-time it is read and never again.
+time it is read and never again.  The transforms below last only for the
+run of their own identity.
 
 Three identities have an inner sum over an auxiliary index p, and
 re-summing it for every p costs O(p^2) work per grid cell.  Instead the table
@@ -93,10 +94,11 @@ class _Table(dict):
 
     A cell is filled from the value source the first time it is read: 0 when
     k < 0, otherwise ``source(m, n, k)``.  A run along m is sliced from a row
-    of cells kept per (n, k) and grown from index 0.  The transforms of
-    :meth:`differences` and :meth:`placements` keep only their current step
-    per k, and :meth:`inner` only the current m.  The table also holds the
-    Pascal rows C(p, 0..p) for p <= ``n_max``.
+    of cells kept per (n, k) and grown from index 0.  The table also holds the
+    Pascal rows C(p, 0..p) for p <= ``n_max``.  The transforms of
+    :meth:`differences`, :meth:`placements` and :meth:`inner` keep only their
+    current step in ``steps``, which :func:`_verify` clears when its identity
+    finishes; the cells stay for the next identity.
     """
 
     def __init__(self, source: InsetFn, m_max: int, n_max: int) -> None:
@@ -106,9 +108,9 @@ class _Table(dict):
         self.n_max = n_max
         self.pascal = [[math.comb(p, j) for j in range(p + 1)] for p in range(n_max + 1)]
         self._rows_m: dict[tuple[int, int], list[int]] = {}
-        self._differences: dict[int, tuple[int, list[list[int]]]] = {}
-        self._placements: dict[int, tuple[int, list[list[int]], list[list[int]]]] = {}
-        self._inner: tuple[int, list[list[int]]] = (-1, [])
+        # (name, k) for a transform kept per k, "inner" for the inner sums:
+        # (current step m, its lists)
+        self.steps: dict[object, tuple] = {}
 
     def __missing__(self, key: tuple[int, int, int]) -> int:
         m, n, k = key
@@ -130,14 +132,14 @@ class _Table(dict):
         Moving to m+1 takes D[x+1] - D[x] for each x, behind one fresh cell
         f(m+2, x, k).
         """
-        at, cols = self._differences.get(k, (-1, []))
+        at, cols = self.steps.get(("differences", k), (-1, []))
         if at < 0:
             at, cols = 0, [[self[1, x, k]] for x in range(self.m_max + self.n_max)]
         while at < m:
             at += 1
             cols = [[self[at + 1, x, k], *map(sub, nxt, col)]
                     for x, (col, nxt) in enumerate(zip(cols, cols[1:]))]
-        self._differences[k] = at, cols
+        self.steps["differences", k] = at, cols
         return cols
 
     def placements(self, m: int, k: int) -> list[list[int]]:
@@ -148,7 +150,7 @@ class _Table(dict):
         n < n_max and sums D[n_max] afresh from the columns f(., n', k),
         which are read once, to their full length m_max + n_max - n' + 1.
         """
-        at, cols, diags = self._placements.get(k, (-1, [], []))
+        at, cols, diags = self.steps.get(("placements", k), (-1, [], []))
         if at < 0:
             cols = [[self[i, n, k] for i in range(self.m_max + self.n_max - n + 1)]
                     for n in range(self.n_max + 1)]
@@ -157,7 +159,7 @@ class _Table(dict):
             at += 1
             diags = [*(list(map(sub, nxt, diag)) for diag, nxt in zip(diags, diags[1:])),
                      self._pascal_sums(cols, at, self.n_max)]
-        self._placements[k] = at, cols, diags
+        self.steps["placements", k] = at, cols, diags
         return diags
 
     def _pascal_sums(self, cols: list[list[int]], m: int, n: int) -> list[int]:
@@ -167,13 +169,14 @@ class _Table(dict):
 
     def inner(self, m: int) -> list[list[int]]:
         """T[k][i] = sum_j C(i,j) C(m, k-i+j) for k <= m + n_max + 2, i <= n_max."""
-        if self._inner[0] != m:
+        at, rows = self.steps.get("inner", (-1, []))
+        if at != m:
             # C(m, .) behind n_max zeros; a slice running off its end adds nothing
             padded = [0] * self.n_max + [math.comb(m, j) for j in range(m + 1)]
             rows = [[sum(map(mul, row, padded[z - i:z + 1])) for i, row in enumerate(self.pascal)]
                     for z in range(self.n_max, m + 2 * self.n_max + 3)]
-            self._inner = m, rows
-        return self._inner[1]
+            self.steps["inner"] = m, rows
+        return rows
 
 
 # table -> None or (params, lhs, rhs)
@@ -350,10 +353,13 @@ def _table(m_max: int, n_max: int, inset_fn: InsetFn | None) -> _Table:
 
 def _verify(f: _Table, identity: str, m_max: int, n_max: int) -> GridReport:
     checker = _CHECKERS[identity]
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            for k in range(m + n + 3):
-                bad = checker(f, m, n, k)
-                if bad is not None:
-                    return GridReport(identity, m_max, n_max, False, Counterexample(*bad))
-    return GridReport(identity, m_max, n_max, True, None)
+    try:
+        for m in range(m_max + 1):
+            for n in range(n_max + 1):
+                for k in range(m + n + 3):
+                    bad = checker(f, m, n, k)
+                    if bad is not None:
+                        return GridReport(identity, m_max, n_max, False, Counterexample(*bad))
+        return GridReport(identity, m_max, n_max, True, None)
+    finally:
+        f.steps.clear()  # the transforms go with their identity; the cells stay

@@ -3,8 +3,9 @@
 A b-file is the plain-text OEIS dump format: one "index value" pair per
 line, '#' comments and blank lines allowed, indices strictly increasing and
 contiguous.  The package ships committed fixtures for every catalogued
-sequence so the whole test suite runs offline; remote fetching exists only
-to refresh fixtures and goes through an injectable text-by-URL transport.
+sequence so the whole test suite runs offline; remote fetching happens only
+for a fixture missing from the cache directory and goes through an
+injectable text-by-URL transport.
 The default transport imports ``urllib.request`` on the first remote fetch,
 so loading committed fixtures never pays for it.
 """

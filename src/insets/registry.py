@@ -3,8 +3,8 @@
 Each entry is a stream of terms: ``entry.terms(i)`` returns a fresh
 iterator over the terms from linear index ``i`` on, and nothing is cached
 between calls, so ``next(entry.terms(i))`` is term ``i``.  Most entries
-read one inset cell per index, a few read sums or two-dimensional arrays,
-and ``central_delannoy`` walks a P-recursive recurrence from two inset cells.
+read one inset cell per index, a few read two-dimensional arrays, and
+``central_delannoy`` and ``fibonacci`` walk a recurrence from two seed terms.
 Each also names the fixture it is validated against, and optionally carries
 a closed form that must agree with the inset route term by term.
 
@@ -107,6 +107,18 @@ def fibonacci_by_insets(m: int) -> int:
     if m < 0:
         raise ValueError("index must be nonnegative")
     return sum(inset(m - i, 1, i) for i in range((m + 1) // 2 + 1))
+
+
+def fibonacci(start: int) -> Iterator[int]:
+    """The Fibonacci numbers F(m+3) for m = start, start + 1, ... (OEIS A000045).
+
+    The first two terms come from :func:`fibonacci_by_insets`, the sum over
+    inset cells; each later one is the sum of the two before it.
+    """
+    prev, cur = fibonacci_by_insets(start), fibonacci_by_insets(start + 1)
+    while True:
+        yield prev
+        prev, cur = cur, prev + cur
 
 
 def central_delannoy(start: int) -> Iterator[int]:
@@ -266,7 +278,7 @@ def _build_catalog() -> list[SequenceEntry]:
             "fibonacci",
             "A000045",
             "sum_i inset(m-i,1,i) over i <= (m+1)/2: Fibonacci F(m+3)",
-            lambda start: map(fibonacci_by_insets, itertools.count(start)),
+            fibonacci,
         ),
         SequenceEntry(
             "sulanke_even",

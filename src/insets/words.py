@@ -34,17 +34,17 @@ def _check_constraint(m: int, n: int, k: int) -> None:
         raise ValueError(f"word constraint must be nonnegative, got ({m}, {n}, {k})")
 
 
-def iter_words(m: int, n: int, k: int, cap: int = ENUMERATION_CAP) -> Iterator[str]:
+def iter_words(m: int, n: int, k: int) -> Iterator[str]:
     """Iterate over the satisfying words in lexicographic order (0 < 1 < 2).
 
     Yields inset(m, n, k) words.  The arguments are checked at the call, not
     at the first ``next()``: raises ValueError for a negative argument and
-    CapExceededError when m + n exceeds ``cap``.
+    CapExceededError when m + n exceeds ENUMERATION_CAP.
     """
     _check_constraint(m, n, k)
     total = m + n
-    if total > cap:
-        raise CapExceededError(f"word length {total} exceeds enumeration cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise CapExceededError(f"word length {total} exceeds enumeration cap {ENUMERATION_CAP}")
     alphabets = ["12" if pos < m else "012" for pos in range(total)]
     split = max(0, total - TAIL_LENGTH)
     # tails[j]: the lex-sorted tails holding j 2s; product yields lex order
@@ -76,13 +76,13 @@ def _heads(
         yield from _heads(alphabets, lo, hi, prefix + d, twos + (d == "2"))
 
 
-def enumerate_words(m: int, n: int, k: int, cap: int = ENUMERATION_CAP) -> list[str]:
+def enumerate_words(m: int, n: int, k: int) -> list[str]:
     """All satisfying words in lexicographic order, as a list.
 
     The list length equals inset(m, n, k).  Raises CapExceededError when
-    m + n exceeds ``cap``.
+    m + n exceeds ENUMERATION_CAP.
     """
-    return list(iter_words(m, n, k, cap))
+    return list(iter_words(m, n, k))
 
 
 # one entry per (m, n); 128 covers the 120 pairs with m + n <= BRUTEFORCE_CAP
@@ -96,14 +96,15 @@ def _counts_by_twos(m: int, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def count_bruteforce(m: int, n: int, k: int, cap: int = BRUTEFORCE_CAP) -> int:
+def count_bruteforce(m: int, n: int, k: int) -> int:
     """Count satisfying words by exhaustive filtering of all raw words.
 
     Test oracle only; per-(m, n) scans are cached so sweeping k is cheap.
+    Raises CapExceededError when m + n exceeds BRUTEFORCE_CAP.
     """
     _check_constraint(m, n, k)
-    if m + n > cap:
-        raise CapExceededError(f"word length {m + n} exceeds brute-force cap {cap}")
+    if m + n > BRUTEFORCE_CAP:
+        raise CapExceededError(f"word length {m + n} exceeds brute-force cap {BRUTEFORCE_CAP}")
     counts = _counts_by_twos(m, n)
     return counts[k] if k <= m + n else 0
 

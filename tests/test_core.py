@@ -199,10 +199,15 @@ def test_no_process_wide_growth():
     verify_all(0, 0)
     registry.generate("delannoy", 1)
     chebyshev.polynomial(2, 1)
+    inset_dp(1, 1, 1)
     tracemalloc.start()
     try:
         gc.collect()
         baseline = tracemalloc.get_traced_memory()[0]
+        for m in range(21):
+            for n in range(21):
+                for k in range(m + n + 1):
+                    inset_dp(m, n, k)
         verify_all(12, 12)
         registry.generate("delannoy", 200)
         chebyshev.polynomial(2, 200)

@@ -125,6 +125,17 @@ def test_fibonacci_recurrence():
         assert values[m] == values[m - 1] + values[m - 2]
 
 
+def test_fibonacci_walk_matches_inset_sums():
+    # the two-term walk against the sum over inset cells, term by term
+    assert generate("fibonacci", 300).values == [fibonacci_by_insets(m) for m in range(300)]
+    # a stream seeded at a later start agrees from its first term on
+    entry = get_entry("fibonacci")
+    for start in (1, 299, 1000, 1998, 2000):
+        assert next(entry.terms(start)) == fibonacci_by_insets(start), start
+    seeded = itertools.islice(entry.terms(1996), 5)
+    assert list(seeded) == [fibonacci_by_insets(m) for m in range(1996, 2001)]
+
+
 def test_sulanke_branches_cover_grid_and_count_words():
     for n in range(8):
         for k in range(8):

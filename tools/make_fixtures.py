@@ -9,8 +9,10 @@ brute-force triangle count for the multipartite-graph entry.  The test
 suite then plays the package's formula route against these files.
 
 Fixtures follow the b-file layout ("index value" per line, '#' comments).
-When online access to oeis.org is available, `insets.oeis.load` can refresh
-any A-numbered file from the source instead.
+When online access to oeis.org is available, `insets.oeis.load` fetches an
+A-numbered file from the source, but only when no local file exists: it
+returns a file already present as it is, so replacing one with the oeis.org
+copy means deleting it first.
 
 Usage: python tools/make_fixtures.py [output_dir]
 """
