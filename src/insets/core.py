@@ -29,6 +29,7 @@ of its arguments, and the module keeps no state at all.
 from __future__ import annotations
 
 import math
+from operator import add
 
 __all__ = [
     "binomial",
@@ -140,19 +141,14 @@ def trapeze_table(n: int, m_max: int) -> list[list[int]]:
     """Table of inset values for fixed n: rows m = 0..m_max, entries k = 0..m+n.
 
     Row 0 is [2^(n-k) C(n,k)] for k = 0..n; each later row follows the
-    Pascal step row[k] = prev[k-1] + prev[k], so the left edge stays 2^n and
-    the right edge stays 1.  For n = 0 this is the ordinary Pascal triangle.
+    Pascal step row[k] = prev[k-1] + prev[k], reading 0 outside prev, so the
+    left edge stays 2^n and the right edge stays 1.  For n = 0 this is the
+    ordinary Pascal triangle.
     """
     if n < 0 or m_max < 0:
         raise ValueError("trapeze_table arguments must be nonnegative")
     rows = [[(1 << (n - k)) * math.comb(n, k) for k in range(n + 1)]]
-    for m in range(1, m_max + 1):
+    for _ in range(m_max):
         prev = rows[-1]
-        rows.append(
-            [
-                (prev[k - 1] if 0 < k <= len(prev) else 0)
-                + (prev[k] if k < len(prev) else 0)
-                for k in range(m + n + 1)
-            ]
-        )
+        rows.append(list(map(add, [0, *prev], [*prev, 0])))
     return rows

@@ -4,16 +4,22 @@ Polynomials are coefficient lists, index = degree, trailing zeros trimmed
 (the zero polynomial is the empty list).  A truncated series of order N is
 a list of N + 1 exact integer coefficients, arithmetic modulo x^(N+1).
 
-Division keeps everything in integers because every denominator used here
-has constant term +-1.  Each generating-function builder states which
-coefficients carry inset values; coefficients outside that range are
-produced but unconstrained.  ``check_coefficients`` compares the
-constrained coefficients of an expansion with ``inset``.
+The three generating-function builders expand a product of binomial
+powers, which is D-finite, so each walks its two-term coefficient
+recurrence: ``order`` steps of one exact multiply-divide each.  Each
+builder states which coefficients carry inset values; coefficients outside
+that range are produced but unconstrained.  ``check_coefficients`` compares
+the constrained coefficients of an expansion with ``inset``.
+
+``series_div`` is public truncated division by a denominator with constant
+term +-1, which keeps the quotient integral.  Dividing the ``poly_pow``
+expansions of a builder's numerator and denominator is the independent
+route the builders are tested against.
 """
 
 from __future__ import annotations
 
-from .core import binomial, inset
+from .core import inset
 from .errors import NonUnitConstantTermError
 
 __all__ = [
@@ -87,13 +93,27 @@ def series_div(num: list[int], den: list[int], order: int) -> list[int]:
     return out
 
 
-def _binomial_power(c0: int, c1: int, e: int, order: int) -> list[int]:
-    """(c0 + c1*x)^e modulo x^(order+1), term by term from the binomial theorem.
+def _walk(p: int, q: int, a: int, r: int, b: int, order: int) -> list[int]:
+    """(p + q*x)^a * (1 - r*x)^(-b) modulo x^(order+1), one coefficient per step.
 
-    The builders read only x^0..x^order, so expanding the whole power would
-    cost work that grows with ``e`` rather than with ``order``.
+    F is D-finite: (p + qx)(1 - rx) F' = (aq(1 - rx) + br(p + qx)) F, so its
+    coefficients obey the two-term recurrence
+
+        p(j+1) c[j+1] = (aq + bpr - (q - pr) j) c[j] + qr(b - a + j - 1) c[j-1]
+
+    from c[0] = p^a and c[-1] = 0 (Petkovsek, Wilf and Zeilberger, *A = B*,
+    ch. 6).  The division is exact because its result is the integer c[j+1].
     """
-    return [binomial(e, i) * c0 ** (e - i) * c1**i for i in range(min(e, order) + 1)]
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    lead, slope, tail, shift = a * q + b * p * r, q - p * r, q * r, b - a - 1
+    prev, cur = 0, p**a
+    out = [cur]
+    for j in range(order):
+        step = (lead - slope * j) * cur + tail * (shift + j) * prev
+        prev, cur = cur, step // (p * (j + 1))
+        out.append(cur)
+    return out
 
 
 def gf_in_m(n: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
@@ -101,33 +121,39 @@ def gf_in_m(n: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
 
     The coefficient of x^m equals inset(m+k-n, n, k) for every
     m >= max(0, n-k); below that threshold coefficients are unconstrained.
+    Walked with (p, q, a, r, b) = (1, 1, n, 1, k+1), so from c[0] = 1
+
+        (j+1) c[j+1] = (n + k + 1) c[j] + (k - n + j) c[j-1].
     """
     if n < 0 or k < 0:
         raise ValueError("parameters must be nonnegative")
-    num = _binomial_power(1, 1, n, order)
-    return series_div(num, _binomial_power(1, -1, k + 1, order), order)
+    return _walk(1, 1, n, 1, k + 1, order)
 
 
 def gf_in_n(m: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
     """Expansion of (1-x)^m / (1-2x)^(k+1).
 
     The coefficient of x^n equals inset(m, n+k-m, k) whenever n + k >= m.
+    Walked with (p, q, a, r, b) = (1, -1, m, 2, k+1), so from c[0] = 1
+
+        (j+1) c[j+1] = (2k + 2 - m + 3j) c[j] - 2(k - m + j) c[j-1].
     """
     if m < 0 or k < 0:
         raise ValueError("parameters must be nonnegative")
-    num = _binomial_power(1, -1, m, order)
-    return series_div(num, _binomial_power(1, -2, k + 1, order), order)
+    return _walk(1, -1, m, 2, k + 1, order)
 
 
 def gf_in_k(m: int, n: int, order: int = DEFAULT_ORDER) -> list[int]:
     """Expansion of (2-x)^n / (1-x)^(m+n+1).
 
     The coefficient of x^k equals inset(m+k, n, k) for every k.
+    Walked with (p, q, a, r, b) = (2, -1, n, 1, m+n+1), so from c[0] = 2^n
+
+        2(j+1) c[j+1] = (2m + n + 2 + 3j) c[j] - (m + j) c[j-1].
     """
     if m < 0 or n < 0:
         raise ValueError("parameters must be nonnegative")
-    num = _binomial_power(2, -1, n, order)
-    return series_div(num, _binomial_power(1, -1, m + n + 1, order), order)
+    return _walk(2, -1, n, 1, m + n + 1, order)
 
 
 def check_coefficients(

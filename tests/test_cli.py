@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 from insets import cli
 from insets.identities import IDENTITY_NAMES
+from insets.registry import generate
 from insets.words import enumerate_words
 
 
@@ -114,8 +116,20 @@ def test_series_check_passes():
 
 
 def test_series_order_cap():
-    result = run_cli("series", "k", "0", "0", "600")
-    assert result.returncode == 2
+    assert cli.MAX_SERIES_ORDER == 512
+    for order in ("513", "600"):
+        result = run_cli("series", "k", "0", "0", order)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: order exceeds 512\n"
+
+
+def test_series_at_order_budget_runs(capsys):
+    assert cli.main(["series", "k", "300", "300", "512", "--check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert len(lines[0].split()) == 513
+    assert lines[-1] == "PASS"
 
 
 @pytest.mark.parametrize("bounds", [("33", "0"), ("0", "33"), ("40", "40")])
@@ -280,6 +294,55 @@ def test_forced_listing_streams(fmt, header):
     assert status == 0
     assert sink.digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
     assert peak < listing_size / 3
+
+
+_PEAK_RSS = """
+import os, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    child = subprocess.Popen([sys.executable, "-m", "insets", *sys.argv[2:]], stdout=out)
+    _, status, usage = os.wait4(child.pid, 0)
+print(status, usage.ru_maxrss)
+"""
+
+
+def _peak_rss(out_path, *args):
+    """Wait status and peak RSS of ``python -m insets *args``, stdout to a file.
+
+    The child is started from a fresh, small interpreter: Linux counts the
+    peak RSS of the process that forks it into the child's own, so a child
+    of the test process would report the test process's peak.
+    """
+    script = [sys.executable, "-c", _PEAK_RSS, str(out_path), *args]
+    result = subprocess.run(script, capture_output=True, text=True, check=True)
+    status, peak = map(int, result.stdout.split())
+    return status, peak
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_seq_listing_streams(tmp_path):
+    # 6000 terms of up to 4600 digits, 13.8 MB of text.  json keeps its
+    # document, every decimal string and then the whole text, as plain and
+    # csv did before they streamed; they must now peak at half of it at most
+    args = ("seq", "central_delannoy", "6000", "--format")
+    peaks = {}
+    for fmt in ("plain", "csv", "json"):
+        status, peaks[fmt] = _peak_rss(tmp_path / fmt, *args, fmt)
+        assert status == 0, fmt
+    piece = generate("central_delannoy", 6000)
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved:  # the terms pass Python's int-to-str digit cap
+        sys.set_int_max_str_digits(0)
+    try:
+        digits = [str(v) for v in piece.values]
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
+    assert (tmp_path / "plain").read_text() == " ".join(digits) + "\n"
+    rows = "".join(f"{i},{d}\n" for i, d in enumerate(digits, piece.start))
+    assert (tmp_path / "csv").read_text() == "index,value\n" + rows
+    assert json.loads((tmp_path / "json").read_text())["values"] == digits
+    assert peaks["plain"] <= peaks["json"] / 2, peaks
+    assert peaks["csv"] <= peaks["json"] / 2, peaks
 
 
 _FOOTPRINT = """

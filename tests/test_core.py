@@ -192,6 +192,20 @@ def test_trapeze_structure():
                     assert row[k] == left + right
 
 
+def test_trapeze_rows_match_inset_cell_by_cell():
+    for n in range(13):
+        cells = [[inset(m, n, k) for k in range(m + n + 1)] for m in range(13)]
+        for m_max in range(13):
+            assert trapeze_table(n, m_max) == cells[: m_max + 1], (n, m_max)
+
+
+def test_trapeze_large_rows_match_inset():
+    rows = trapeze_table(80, 300)
+    assert len(rows) == 301
+    for m in (0, 1, 150, 300):
+        assert rows[m] == [inset(m, 80, k) for k in range(m + 81)], m
+
+
 def test_no_process_wide_growth():
     assert not hasattr(core.inset, "cache_info")
 

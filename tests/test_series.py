@@ -166,14 +166,15 @@ def test_shifted_window_identity():
                 assert inset(m + k - n, n, k) == rhs, (m, n, k)
 
 
-@pytest.mark.parametrize(
-    "builder,num,den",
-    [
-        (gf_in_m, lambda a, b: ([1, 1], a), lambda a, b: ([1, -1], b + 1)),
-        (gf_in_n, lambda a, b: ([1, -1], a), lambda a, b: ([1, -2], b + 1)),
-        (gf_in_k, lambda a, b: ([2, -1], b), lambda a, b: ([1, -1], a + b + 1)),
-    ],
-)
+# each builder with its numerator and denominator as (base, exponent) for poly_pow
+BUILDERS = [
+    (gf_in_m, lambda a, b: ([1, 1], a), lambda a, b: ([1, -1], b + 1)),
+    (gf_in_n, lambda a, b: ([1, -1], a), lambda a, b: ([1, -2], b + 1)),
+    (gf_in_k, lambda a, b: ([2, -1], b), lambda a, b: ([1, -1], a + b + 1)),
+]
+
+
+@pytest.mark.parametrize("builder,num,den", BUILDERS)
 def test_builders_match_full_expansion_when_powers_exceed_order(builder, num, den):
     for a, b, order in [(0, 0, 0), (9, 2, 3), (2, 9, 3), (12, 12, 5), (5, 4, 20)]:
         full = series_div(poly_pow(*num(a, b)), poly_pow(*den(a, b)), order)
@@ -186,3 +187,36 @@ def test_series_work_follows_the_order_not_the_powers():
     assert time.perf_counter() - start < 1.0
     assert len(coeffs) == 6
     assert check_coefficients("k", 0, 3000, coeffs) is None
+
+
+ORACLE_ORDERS = (0, 1, 2, 3, 7, 33, 64)
+# order-512 parameters of the library benchmark's big-values job (seed 11),
+# and the top of the [100, 300] range it draws them from
+BIG_VALUES = {
+    gf_in_m: [(104, 160), (300, 300)],
+    gf_in_n: [(232, 193), (300, 300)],
+    gf_in_k: [(252, 292), (300, 300)],
+}
+
+
+@pytest.mark.parametrize("builder,num,den", BUILDERS)
+def test_builders_match_series_division(builder, num, den):
+    # the recurrence walk against the division of the two full binomial
+    # powers; a quotient coefficient does not depend on the order it is cut
+    # at, so one division to the largest order serves every order
+    top = max(ORACLE_ORDERS)
+    for a in range(25):
+        for b in range(25):
+            full = series_div(poly_pow(*num(a, b)), poly_pow(*den(a, b)), top)
+            for order in ORACLE_ORDERS:
+                assert builder(a, b, order) == full[: order + 1], (a, b, order)
+    for a, b in BIG_VALUES[builder]:
+        full = series_div(poly_pow(*num(a, b)), poly_pow(*den(a, b)), 512)
+        assert builder(a, b, 512) == full, (a, b)
+
+
+@pytest.mark.parametrize("builder", [gf_in_m, gf_in_n, gf_in_k])
+@pytest.mark.parametrize("args", [(2, 3, -1), (-1, 3, 5), (2, -1, 5)])
+def test_builders_refuse_negative_arguments(builder, args):
+    with pytest.raises(ValueError):
+        builder(*args)
