@@ -30,10 +30,15 @@ WORD_LISTING_GUARD = 10_000
 # expansion walks 512 recurrence steps in 0.2 ms, and --check's 513 inset
 # calls take about 20 ms
 MAX_SERIES_ORDER = 512
-# verify_all(32, 32), the work of `verify all 32 32`, took 2.6-3.1 s and
-# 36.1-36.5 MB peak RSS on a 2-core VM with Python 3.11.7, and
-# verify_all(36, 36) 4.4 s: from 16 to 36 the cost grows about as the 3.3rd
-# power of the bound
+# `series k 20000 20000 512 --check`, the costliest shape at the bound, took
+# 0.6 s and 22 MB peak RSS as a process on a 2-core VM with Python 3.11.7 and
+# printed 3.4 MB; which = m or n takes under 0.1 s there.  For which = k the
+# cost grows about quadratically in b: `series k 0 40000 512` took 0.8 s
+MAX_SERIES_PARAM = 20_000
+# verify_all(32, 32), the work of `verify all 32 32`, took 0.45-0.50 s and
+# 25.6 MB peak RSS as a process on a 2-core VM with Python 3.11.7, and
+# verify_all(36, 36) 0.75 s in process: from 16 to 36 the cost grows about
+# as the 3.7th power of the bound
 MAX_VERIFY_GRID = 32
 
 
@@ -160,6 +165,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
     if args.order > MAX_SERIES_ORDER:
         raise ValueError(f"order exceeds {MAX_SERIES_ORDER}")
+    if max(args.a, args.b) > MAX_SERIES_PARAM:
+        raise ValueError(f"a or b exceeds {MAX_SERIES_PARAM}")
     builder = {"m": series.gf_in_m, "n": series.gf_in_n, "k": series.gf_in_k}[args.which]
     coeffs = builder(args.a, args.b, args.order)
     digits, rows, lines = _listing(coeffs)

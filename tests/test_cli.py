@@ -124,6 +124,22 @@ def test_series_order_cap():
         assert result.stderr == "error: order exceeds 512\n"
 
 
+@pytest.mark.parametrize("params", [("20001", "0"), ("0", "20001"), ("20001", "20001")])
+def test_series_parameter_cap(params):
+    assert cli.MAX_SERIES_PARAM == 20000
+    result = run_cli("series", "k", *params, "5")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: a or b exceeds 20000\n"
+
+
+def test_series_at_parameter_budget_runs(capsys):
+    assert cli.main(["series", "k", "20000", "20000", "5", "--check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines[0].split()) == 6
+    assert lines[-1] == "PASS"
+
+
 def test_series_at_order_budget_runs(capsys):
     assert cli.main(["series", "k", "300", "300", "512", "--check"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -168,13 +168,15 @@ def test_verify_all_shares_one_table():
 # Recorded while the inner sums of alternating_shift, zeros_placement and
 # convolution were still summed term by term for every p.  The non-square
 # grids show a run sized from max(m_max, n_max) instead of from m_max and
-# n_max.
+# n_max.  The 18 x 18 row, the grid the benchmark verifies, was recorded
+# while each checker still read one cell (m, n, k) per call.
 CELLS_ASKED = {
     (6, 6): [483, 558, 483, 945, 672, 392, 476, 1050, 441, 441, 385, 441, 42],
     (3, 9): [390, 495, 396, 630, 525, 200, 392, 1275, 360, 360, 230, 360, 75],
     (9, 3): [396, 432, 390, 1125, 594, 440, 380, 690, 360, 360, 350, 360, 18],
     (2, 12): [416, 564, 426, 663, 572, 156, 423, 1989, 390, 390, 191, 390, 117],
     (12, 2): [426, 449, 416, 1768, 672, 546, 403, 714, 390, 390, 386, 390, 12],
+    (18, 18): [7923, 8472, 7923, 20007, 11400, 7220, 7904, 20748, 7581, 7581, 6441, 7581, 228],
 }
 
 
@@ -249,32 +251,62 @@ def test_transforms_go_when_their_identity_finishes():
 
 
 def _term_by_term(name, m_max, n_max, f):
-    """Every comparison (params, lhs, rhs) of three identities, in grid order,
-    with each inner sum summed afresh: signed and Pascal rows against runs of
-    cells, and the convolution's inner sum against a zero-padded C(m, .)."""
+    """Every comparison (params, lhs, rhs) of one identity, in grid order,
+    with each side summed term by term per cell: binomials from ``math.comb``,
+    every inner sum over p summed afresh, signed and Pascal rows against runs
+    of cells, and the convolution's inner sum against a zero-padded C(m, .).
+    ``parity_shift`` compares its two sides mod 2."""
+    comb = math.comb
     size = max(m_max, n_max)
-    pascal = [[math.comb(p, j) for j in range(p + 1)] for p in range(size + 1)]
+    pascal = [[comb(p, j) for j in range(p + 1)] for p in range(size + 1)]
     signed = [[c if (p - j) % 2 == 0 else -c for j, c in enumerate(row)]
               for p, row in enumerate(pascal)]
     padded = [[0] * size + row for row in pascal]
     for m in range(m_max + 1):
         for n in range(n_max + 1):
             for k in range(m + n + 3):
-                if name == "alternating_shift" and n >= 1:
+                if name == "pascal" and m >= 1:
+                    yield (m, n, k), f(m, n, k), f(m - 1, n, k - 1) + f(m - 1, n, k)
+                elif name == "vertical" and n >= 1:
+                    yield (m, n, k), f(m, n, k), f(m, n - 1, k) + f(m + 1, n - 1, k)
+                elif name == "doubling" and n >= 1:
+                    yield (m, n, k), f(m, n, k), 2 * f(m, n - 1, k) + f(m, n - 1, k - 1)
+                elif name == "alternating_shift" and n >= 1:
                     lhs = f(m + 1, n - 1, k)
                     for p in range(m + 1):
                         run = [f(m - p + 1, n - 1 + j, k) for j in range(p + 1)]
                         yield (m, n, k, p), lhs, sum(map(mul, signed[p], run))
+                elif name == "horizontal_full":
+                    head = 2 ** (n - k - 1) * comb(n, k + 1) if k < n else 0
+                    rhs = head + sum(f(i, n, k) for i in range(m + 1))
+                    yield (m, n, k), f(m + 1, n, k + 1), rhs
+                elif name == "horizontal_tail" and n <= k <= m + n:
+                    yield (m, n, k), f(m + 1, n, k + 1), sum(f(i, n, k) for i in range(m + 1))
+                elif name == "telescoping":
+                    for p in range(1, min(n, k) + 1):
+                        tail = sum(f(m, n - i, k - i + 1) for i in range(1, p + 1))
+                        yield (m, n, k, p), f(m, n, k) - f(m, n - p, k - p), 2 * tail
                 elif name == "zeros_placement":
                     lhs = f(m, n, k)
                     for p in range(n + 1):
                         run = [f(m + i, n - p, k) for i in range(p + 1)]
                         yield (m, n, k, p), lhs, sum(map(mul, pascal[p], run))
+                elif name == "binomial_sum":
+                    rhs = sum(comb(n, i) * comb(m + i, k) for i in range(n + 1))
+                    yield (m, n, k), f(m, n, k), rhs
                 elif name == "convolution":
                     pad, z = padded[m], size + k
                     rhs = sum(c * sum(map(mul, pascal[i], pad[z - i:z + 1]))
                               for i, c in enumerate(pascal[n]))
                     yield (m, n, k), f(m, n, k), rhs
+                elif name == "shifted_window" and m + k >= n:
+                    rhs = sum(comb(n, m - i) * comb(k + i, k) for i in range(m + 1))
+                    yield (m, n, k), f(m + k - n, n, k), rhs
+                elif name == "parity_shift":
+                    for p in range(1, min(n, k) + 1):
+                        yield (m, n, k, p), f(m, n - p, k - p), f(m, n, k)
+                elif name == "first_row" and m == 0:
+                    yield (0, n, k), f(0, n, k), 2 ** (n - k) * comb(n, k) if k <= n else 0
 
 
 def _reference_report(name, m_max, n_max, source, read=None):
@@ -287,7 +319,7 @@ def _reference_report(name, m_max, n_max, source, read=None):
 
     report = GridReport(name, m_max, n_max, True, None)
     for params, lhs, rhs in _term_by_term(name, m_max, n_max, f):
-        if lhs != rhs:
+        if (lhs - rhs) % 2 if name == "parity_shift" else lhs != rhs:
             report = GridReport(name, m_max, n_max, False, Counterexample(params, lhs, rhs))
             break
     if read is not None:
@@ -295,14 +327,33 @@ def _reference_report(name, m_max, n_max, source, read=None):
     return report
 
 
-@pytest.mark.parametrize("name", ["alternating_shift", "zeros_placement", "convolution"])
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
 @pytest.mark.parametrize("grid", [(8, 8), (2, 12), (12, 2)], ids=lambda g: f"{g[0]}x{g[1]}")
 def test_transforms_match_term_by_term_reports(name, grid):
     read = set()
     clean = _reference_report(name, *grid, inset, read)
     assert clean.passed and verify(name, *grid) == clean
     rng = random.Random(f"{name}:{grid}")
-    for cell in rng.sample(sorted(read), 25):
+    # first_row reads only 12 cells of the 12 x 2 grid
+    for cell in rng.sample(sorted(read), min(25, len(read))):
         planted = _off_by_one_at(cell)
         want = _reference_report(name, *grid, planted)
         assert verify(name, *grid, inset_fn=planted) == want, cell
+        assert not want.passed, cell
+
+
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
+@pytest.mark.parametrize("grid", [(6, 6), (3, 9), (9, 3)], ids=lambda g: f"{g[0]}x{g[1]}")
+def test_planted_row_ends_are_reported(name, grid):
+    # the last two k of the last (m, n): a grid row that stops one or two k
+    # short of k = m + n + 2 never reads them
+    m_max, n_max = grid
+    read = set()
+    _reference_report(name, m_max, n_max, inset, read)
+    for k in (m_max + n_max + 1, m_max + n_max + 2):
+        cell = (m_max, n_max, k)
+        if cell in read:
+            planted = _off_by_one_at(cell)
+            report = verify(name, m_max, n_max, inset_fn=planted)
+            assert not report.passed, cell
+            assert report == _reference_report(name, m_max, n_max, planted), cell
