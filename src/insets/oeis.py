@@ -147,6 +147,7 @@ def load(fixture_id: str, cfg: CacheConfig | None = None) -> BFile:
         raise
     except Exception as exc:
         raise FixtureError(f"fetching {fixture_id} from {url} failed: {exc}") from exc
+    bfile = parse_bfile(text, fixture_id)  # a malformed fetch is never stored
     path.parent.mkdir(parents=True, exist_ok=True)
     _store_atomic(path, text)
-    return parse_bfile(text, fixture_id)
+    return bfile

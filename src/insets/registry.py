@@ -3,8 +3,8 @@
 Each entry is a stream of terms: ``entry.terms(i)`` returns a fresh
 iterator over the terms from linear index ``i`` on, and nothing is cached
 between calls, so ``next(entry.terms(i))`` is term ``i``.  Most entries
-read one inset cell per index, a few read two-dimensional arrays, and
-``central_delannoy`` and ``fibonacci`` walk a recurrence from two seed terms.
+read one inset cell per index, a few read two-dimensional arrays, and six
+walk the recurrence row ``_RECURRENCES`` holds for them from d seed terms.
 Each also names the fixture it is validated against, and optionally carries
 a closed form that must agree with the inset route term by term.
 
@@ -29,6 +29,7 @@ from typing import Callable, Iterator, Optional
 from .core import binomial, inset
 from .errors import FixtureError
 from .oeis import BFile
+from .series import _p_recursive, exact_div
 
 __all__ = [
     "SequenceEntry",
@@ -83,14 +84,6 @@ class ValidationReport:
         return self.status == "validated"
 
 
-def exact_div(numerator: int, denominator: int) -> int:
-    """Integer division that must leave no remainder."""
-    q, r = divmod(numerator, denominator)
-    if r:
-        raise ArithmeticError(f"{numerator} is not divisible by {denominator}")
-    return q
-
-
 def sulanke(n: int, k: int) -> int:
     """Parity-split grid value: inset(h, h, k) with h = (n+k)/2 for even n+k,
     inset((n+k-1)/2, (n+k+1)/2, k) for odd n+k."""
@@ -109,36 +102,6 @@ def fibonacci_by_insets(m: int) -> int:
     return sum(inset(m - i, 1, i) for i in range((m + 1) // 2 + 1))
 
 
-def fibonacci(start: int) -> Iterator[int]:
-    """The Fibonacci numbers F(m+3) for m = start, start + 1, ... (OEIS A000045).
-
-    The first two terms come from :func:`fibonacci_by_insets`, the sum over
-    inset cells; each later one is the sum of the two before it.
-    """
-    prev, cur = fibonacci_by_insets(start), fibonacci_by_insets(start + 1)
-    while True:
-        yield prev
-        prev, cur = cur, prev + cur
-
-
-def central_delannoy(start: int) -> Iterator[int]:
-    """The central Delannoy numbers inset(n, n, n) for n = start, start + 1, ...
-
-    The first two terms come from :func:`inset`; each later one follows from
-    the two before by n a(n) = 3(2n-1) a(n-1) - (n-1) a(n-2) (OEIS A001850).
-    Zeilberger's algorithm finds this recurrence for the sum
-    sum_i C(n,i) C(n+i,n) (Petkovsek, Wilf and Zeilberger, *A = B*, 1996,
-    ch. 6).  Each step is one exact division, not an O(n) kernel run.
-    """
-    prev = inset(start, start, start)
-    yield prev
-    cur = inset(start + 1, start + 1, start + 1)
-    yield cur
-    for n in itertools.count(start + 2):
-        prev, cur = cur, exact_div(3 * (2 * n - 1) * cur - (n - 1) * prev, n)
-        yield cur
-
-
 def braun_hough_cells(d: int, n: int) -> int:
     """Number of d-dimensional cells in the n-th complex: inset(2, n-d+2, 3d-2n)."""
     if n - d + 2 < 0 or 3 * d - 2 * n < 0:
@@ -149,6 +112,36 @@ def braun_hough_cells(d: int, n: int) -> int:
 def _line(cell: Callable[[int], tuple[int, int, int]]) -> Terms:
     """The terms inset(*cell(i)) for i = start, start + 1, ..."""
     return lambda start: itertools.starmap(inset, map(cell, itertools.count(start)))
+
+
+# Rows p_0..p_d of sum_j p_j(n) a(n-j) = 0, each p_j lowest degree first.  A
+# sum of inset numbers along a line has one by Zeilberger's algorithm (A = B,
+# ch. 6).  Guessed rows were fitted to per-term inset values, and
+# tests/test_registry.py re-derives every row from those values.
+_RECURRENCES = {
+    # A000045: a(n) = a(n-1) + a(n-2)
+    "fibonacci": ((1,), (-1,), (-1,)),
+    # A001850, from OEIS: n a(n) = 3(2n-1) a(n-1) - (n-1) a(n-2)
+    "central_delannoy": ((0, 1), (3, -6), (-1, 1)),
+    # A051960, from a(k) = (3k+2) Catalan(k): (k+1)(3k-1) a(k) = 2(2k-1)(3k+2) a(k-1)
+    "catalan_scaled": ((1, -2, -3), (-4, 2, 12)),
+    # A002002, guessed:
+    # (m+1)(2m-1) a(m) = 2(6m^2-1) a(m-1) - (m-1)(2m+1) a(m-2)
+    "schroeder_peaks": ((-1, 1, 2), (2, 0, -12), (-1, -1, 2)),
+    # A002003, guessed:
+    # (m+1)(2m-1) a(m) = 4(3m^2-1) a(m-1) - (m-1)(2m+1) a(m-2)
+    "partial_self_maps": ((-1, 1, 2), (4, 0, -12), (-1, -1, 2)),
+    # A176479, guessed: n(n-1) a(n) = 3(n-1)(2n-1) a(n-1) - n(n-2) a(n-2),
+    # whose p_0 vanishes only at n = 0 and 1, below the first walked n
+    "dyck_two_levels": ((0, -1, 1), (-3, 9, -6), (0, -2, 1)),
+}
+
+
+def _recurrence(key: str, value: Callable[[int], int]) -> Terms:
+    """The terms value(i) from the start: d seeds read per term, then walked."""
+    rows = _RECURRENCES[key]
+    d = len(rows) - 1
+    return lambda start: _p_recursive(start, map(value, range(start, start + d)), rows)
 
 
 def _rows(row: Callable[[int], range], value: Callable[[int, int], int]) -> Terms:
@@ -260,7 +253,7 @@ def _build_catalog() -> list[SequenceEntry]:
             "central_delannoy",
             "A001850",
             "inset(n,n,n): central Delannoy numbers",
-            central_delannoy,
+            _recurrence("central_delannoy", lambda n: inset(n, n, n)),
         ),
         SequenceEntry(
             "asymmetric_delannoy",
@@ -272,13 +265,13 @@ def _build_catalog() -> list[SequenceEntry]:
             "catalan_scaled",
             "A051960",
             "inset(2k,1,k) = (3k+2) * Catalan(k)",
-            _line(lambda k: (2 * k, 1, k)),
+            _recurrence("catalan_scaled", lambda k: inset(2 * k, 1, k)),
         ),
         SequenceEntry(
             "fibonacci",
             "A000045",
             "sum_i inset(m-i,1,i) over i <= (m+1)/2: Fibonacci F(m+3)",
-            fibonacci,
+            _recurrence("fibonacci", fibonacci_by_insets),
         ),
         SequenceEntry(
             "sulanke_even",
@@ -360,13 +353,13 @@ def _build_catalog() -> list[SequenceEntry]:
             "schroeder_peaks",
             "A002002",
             "inset(m,m+1,m+1): peaks in all Schroeder paths",
-            _line(lambda m: (m, m + 1, m + 1)),
+            _recurrence("schroeder_peaks", lambda m: inset(m, m + 1, m + 1)),
         ),
         SequenceEntry(
             "partial_self_maps",
             "A002003",
             "inset(m,m+1,m): order-preserving partial self-maps of an m-set",
-            _line(lambda m: (m, m + 1, m)),
+            _recurrence("partial_self_maps", lambda m: inset(m, m + 1, m)),
         ),
         SequenceEntry(
             "dyck_central_peak",
@@ -400,7 +393,7 @@ def _build_catalog() -> list[SequenceEntry]:
             "dyck_two_levels",
             "A176479",
             "inset(n+1,n-1,n): Dyck paths with n peaks at level 1 and n at level 2",
-            _line(lambda n: (n + 1, n - 1, n)),
+            _recurrence("dyck_two_levels", lambda n: inset(n + 1, n - 1, n)),
             start=1,
         ),
         SequenceEntry(

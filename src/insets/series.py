@@ -6,10 +6,11 @@ a list of N + 1 exact integer coefficients, arithmetic modulo x^(N+1).
 
 The three generating-function builders expand a product of binomial
 powers, which is D-finite, so each walks its two-term coefficient
-recurrence: ``order`` steps of one exact multiply-divide each.  Each
-builder states which coefficients carry inset values; coefficients outside
-that range are produced but unconstrained.  ``check_coefficients`` compares
-the constrained coefficients of an expansion with ``inset``.
+recurrence on ``_p_recursive``, the walker ``registry`` shares: ``order``
+steps of one exact division each.  Each builder states which coefficients
+carry inset values; coefficients outside that range are produced but
+unconstrained.  ``check_coefficients`` compares the constrained
+coefficients of an expansion with ``inset``.
 
 ``series_div`` is public truncated division by a denominator with constant
 term +-1, which keeps the quotient integral.  Dividing the ``poly_pow``
@@ -18,6 +19,10 @@ route the builders are tested against.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections import deque
+from typing import Iterable, Iterator
 
 from .core import inset
 from .errors import NonUnitConstantTermError
@@ -35,6 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 32
+
+Rows = tuple[tuple[int, ...], ...]
 
 
 def poly_trim(coeffs: list[int]) -> list[int]:
@@ -93,7 +100,41 @@ def series_div(num: list[int], den: list[int], order: int) -> list[int]:
     return out
 
 
-def _walk(p: int, q: int, a: int, r: int, b: int, order: int) -> list[int]:
+def exact_div(numerator: int, denominator: int) -> int:
+    """Integer division that must leave no remainder."""
+    q, r = divmod(numerator, denominator)
+    if r:
+        raise ArithmeticError(f"{numerator} is not divisible by {denominator}")
+    return q
+
+
+def _horner(poly: tuple[int, ...], n: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * n + c
+    return acc
+
+
+def _p_recursive(start: int, seeds: Iterable[int], rows: Rows) -> Iterator[int]:
+    """a(start), a(start+1), ... where sum_j p_j(n) a(n-j) = 0 for rows p_0..p_d.
+
+    Each p_j is a coefficient tuple, lowest degree first, and ``seeds`` yields
+    a(start)..a(start+d-1).  Each later term is one exact division by p_0(n),
+    which must not vanish there, so a row that does not fit the terms raises
+    ArithmeticError at its first inexact step instead of flooring.
+    """
+    head, *tail = rows
+    window = deque(seeds, maxlen=len(tail))  # a(n-d), ..., a(n-1)
+    yield from window
+    for n in itertools.count(start + len(tail)):
+        acc = 0
+        for poly, prior in zip(tail, reversed(window)):
+            acc -= _horner(poly, n) * prior
+        window.append(exact_div(acc, _horner(head, n)))
+        yield window[-1]
+
+
+def _gf(p: int, q: int, a: int, r: int, b: int, order: int) -> list[int]:
     """(p + q*x)^a * (1 - r*x)^(-b) modulo x^(order+1), one coefficient per step.
 
     F is D-finite: (p + qx)(1 - rx) F' = (aq(1 - rx) + br(p + qx)) F, so its
@@ -102,18 +143,14 @@ def _walk(p: int, q: int, a: int, r: int, b: int, order: int) -> list[int]:
         p(j+1) c[j+1] = (aq + bpr - (q - pr) j) c[j] + qr(b - a + j - 1) c[j-1]
 
     from c[0] = p^a and c[-1] = 0 (Petkovsek, Wilf and Zeilberger, *A = B*,
-    ch. 6).  The division is exact because its result is the integer c[j+1].
+    ch. 6), walked as an order-2 row in n = j + 1.  The division is exact
+    because its result is the integer c[j+1].
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     lead, slope, tail, shift = a * q + b * p * r, q - p * r, q * r, b - a - 1
-    prev, cur = 0, p**a
-    out = [cur]
-    for j in range(order):
-        step = (lead - slope * j) * cur + tail * (shift + j) * prev
-        prev, cur = cur, step // (p * (j + 1))
-        out.append(cur)
-    return out
+    rows = ((0, p), (-(lead + slope), slope), (-tail * (shift - 1), -tail))
+    return list(itertools.islice(_p_recursive(-1, (0, p**a), rows), 1, order + 2))
 
 
 def gf_in_m(n: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
@@ -121,39 +158,39 @@ def gf_in_m(n: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
 
     The coefficient of x^m equals inset(m+k-n, n, k) for every
     m >= max(0, n-k); below that threshold coefficients are unconstrained.
-    Walked with (p, q, a, r, b) = (1, 1, n, 1, k+1), so from c[0] = 1
+    Walked by ``_gf`` with (p, q, a, r, b) = (1, 1, n, 1, k+1), so from c[0] = 1
 
         (j+1) c[j+1] = (n + k + 1) c[j] + (k - n + j) c[j-1].
     """
     if n < 0 or k < 0:
         raise ValueError("parameters must be nonnegative")
-    return _walk(1, 1, n, 1, k + 1, order)
+    return _gf(1, 1, n, 1, k + 1, order)
 
 
 def gf_in_n(m: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
     """Expansion of (1-x)^m / (1-2x)^(k+1).
 
     The coefficient of x^n equals inset(m, n+k-m, k) whenever n + k >= m.
-    Walked with (p, q, a, r, b) = (1, -1, m, 2, k+1), so from c[0] = 1
+    Walked by ``_gf`` with (p, q, a, r, b) = (1, -1, m, 2, k+1), so from c[0] = 1
 
         (j+1) c[j+1] = (2k + 2 - m + 3j) c[j] - 2(k - m + j) c[j-1].
     """
     if m < 0 or k < 0:
         raise ValueError("parameters must be nonnegative")
-    return _walk(1, -1, m, 2, k + 1, order)
+    return _gf(1, -1, m, 2, k + 1, order)
 
 
 def gf_in_k(m: int, n: int, order: int = DEFAULT_ORDER) -> list[int]:
     """Expansion of (2-x)^n / (1-x)^(m+n+1).
 
     The coefficient of x^k equals inset(m+k, n, k) for every k.
-    Walked with (p, q, a, r, b) = (2, -1, n, 1, m+n+1), so from c[0] = 2^n
+    Walked by ``_gf`` with (p, q, a, r, b) = (2, -1, n, 1, m+n+1), so from c[0] = 2^n
 
         2(j+1) c[j+1] = (2m + n + 2 + 3j) c[j] - (m + j) c[j-1].
     """
     if m < 0 or n < 0:
         raise ValueError("parameters must be nonnegative")
-    return _walk(2, -1, n, 1, m + n + 1, order)
+    return _gf(2, -1, n, 1, m + n + 1, order)
 
 
 def check_coefficients(

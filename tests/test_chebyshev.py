@@ -91,3 +91,18 @@ def test_sign_rule():
             if value:
                 expected_sign = -1 if ((n - k) // 2) % 2 else 1
                 assert (value > 0) == (expected_sign > 0)
+
+
+def test_rows_follow_the_three_term_recurrence_past_2m():
+    # P(m, n) = 2x P(m, n-1) - P(m, n-2) coefficient by coefficient once
+    # n >= 2m + 1; below that, coefficients with (n+k)/2 < m are 0
+    def recurs(m, n):
+        shifted = [0, *(2 * c for c in polynomial(m, n - 1))]
+        before = polynomial(m, n - 2) + [0, 0]
+        return polynomial(m, n) == [a - b for a, b in zip(shifted, before)]
+
+    for m in range(7):
+        for n in range(max(2, 2 * m + 1), 60):
+            assert recurs(m, n), (m, n)
+    for m in range(1, 7):
+        assert not recurs(m, 2 * m), m

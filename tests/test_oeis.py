@@ -120,6 +120,21 @@ def test_fetch_failure_is_wrapped(tmp_path):
         load("A001850", cfg)
 
 
+def test_malformed_fetch_is_not_persisted(tmp_path):
+    texts = ["0 1\n1 3 5\n", "0 1\n1 3\n2 13\n"]
+
+    def fetch(url):
+        return texts.pop(0)
+
+    cfg = CacheConfig(fixture_dir=tmp_path, fetch=fetch)
+    with pytest.raises(BFileFormatError):
+        load("A001850", cfg)
+    assert list(tmp_path.iterdir()) == []  # no final file and no .tmp file
+    # the next load fetches again instead of failing on a stored bad file
+    assert load("A001850", cfg).values == [1, 3, 13]
+    assert [p.name for p in tmp_path.iterdir()] == ["b001850.txt"]
+
+
 def test_fetch_from_local_stub_server(tmp_path):
     text = "0 1\n1 3\n2 13\n3 63\n"
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -8,9 +9,8 @@ from insets.core import inset
 from insets.errors import FixtureError
 from insets.oeis import BFile
 from insets.registry import (
+    _RECURRENCES,
     braun_hough_cells,
-    central_delannoy,
-    exact_div,
     fibonacci_by_insets,
     generate,
     get_entry,
@@ -18,6 +18,7 @@ from insets.registry import (
     sulanke,
     validate,
 )
+from insets.series import exact_div
 from insets.words import count_bruteforce
 
 REQUIRED_KEYS = {
@@ -276,13 +277,120 @@ def test_terms_start_anywhere_and_keep_no_state(entry):
     assert next(stream) == next(entry.terms(entry.start + 120))
 
 
-def test_central_delannoy_recurrence_matches_kernel():
-    # the recurrence walk against one kernel run per sampled term
-    assert generate("central_delannoy", 300).values == [inset(n, n, n) for n in range(300)]
-    walked = list(itertools.islice(central_delannoy(0), 3001))
-    for n in (301, 999, 1500, 2222, 3000):
-        assert walked[n] == inset(n, n, n), n
+# the per-term value of every entry that walks a recurrence: one inset call,
+# or for fibonacci one sum of inset calls, per index
+WALKED = {
+    "fibonacci": fibonacci_by_insets,
+    "central_delannoy": lambda n: inset(n, n, n),
+    "catalan_scaled": lambda k: inset(2 * k, 1, k),
+    "schroeder_peaks": lambda m: inset(m, m + 1, m + 1),
+    "partial_self_maps": lambda m: inset(m, m + 1, m),
+    "dyck_two_levels": lambda n: inset(n + 1, n - 1, n),
+}
+
+
+def test_walked_entries_are_the_recurrence_rows():
+    assert set(WALKED) == set(_RECURRENCES)
+
+
+@pytest.mark.parametrize("key", sorted(WALKED))
+def test_walked_streams_match_per_term_values(key):
+    # the recurrence walk against one per-term value for each sampled term
+    value, entry = WALKED[key], get_entry(key)
+    start = entry.start
+    assert generate(key, 300).values == [value(i) for i in range(start, start + 300)]
+    walked = list(itertools.islice(entry.terms(start), 3001 - start))
+    for i in (301, 999, 1500, 2222, 3000):
+        assert walked[i - start] == value(i), i
+        assert next(entry.terms(i)) == value(i), i
     # a stream seeded at a later start walks on to the same terms
-    for start in (5, 1000, 2997):
-        seeded = itertools.islice(get_entry("central_delannoy").terms(start), 4)
-        assert list(seeded) == walked[start:start + 4], start
+    for i in (5, 1000, 2997):
+        seeded = itertools.islice(entry.terms(i), 4)
+        assert list(seeded) == walked[i - start:i - start + 4], i
+
+
+# A guesser for the committed rows, here and never in the library: the rows
+# of a given order and degree that a run of terms satisfies form the
+# nullspace of a linear system over the rationals (Kauers and Paule, *The
+# Concrete Tetrahedron*, 2011, ch. 7).
+
+
+def _equations(terms, start, order, degree):
+    """One row of sum_j sum_e c[j][e] n^e a(n-j) = 0 per n that the terms cover."""
+    return [
+        [n**e * terms[n - start - j] for j in range(order + 1) for e in range(degree + 1)]
+        for n in range(start + order, start + len(terms))
+    ]
+
+
+def _nullspace_vector(matrix):
+    """The nullspace of an integer matrix as one integer vector, or None unless it
+    is one-dimensional; Gauss-Jordan elimination over Fraction."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    width, pivots, r = len(rows[0]), [], 0
+    for col in range(width):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    free = [col for col in range(width) if col not in pivots]
+    if len(free) != 1:
+        return None
+    vector = [Fraction(0)] * width
+    vector[free[0]] = Fraction(1)
+    for i, col in enumerate(pivots):
+        vector[col] = -rows[i][free[0]]
+    scale = math.lcm(*(x.denominator for x in vector))
+    return [int(x * scale) for x in vector]
+
+
+def _normalised(rows, degree):
+    """Rows padded to the degree, divided by their gcd, and signed so that p_0's
+    leading coefficient is positive."""
+    padded = [list(p) + [0] * (degree + 1 - len(p)) for p in rows]
+    flat = [c for p in padded for c in p]
+    lead = next(c for c in reversed(padded[0]) if c)
+    unit = math.gcd(*flat) * (1 if lead > 0 else -1)
+    return [[exact_div(c, unit) for c in p] for p in padded]
+
+
+def _guess(terms, start, order, degree):
+    vector = _nullspace_vector(_equations(terms, start, order, degree))
+    if vector is None:
+        return None
+    return _normalised([vector[j * (degree + 1):(j + 1) * (degree + 1)]
+                        for j in range(order + 1)], degree)
+
+
+def _holds(rows, terms, start):
+    """Whether sum_j p_j(n) a(n-j) = 0 at every n the terms cover."""
+    order = len(rows) - 1
+    return all(
+        sum(sum(c * n**e for e, c in enumerate(p)) * terms[n - start - j]
+            for j, p in enumerate(rows)) == 0
+        for n in range(start + order, start + len(terms))
+    )
+
+
+@pytest.mark.parametrize("key", sorted(WALKED))
+def test_guesser_certifies_each_committed_row(key):
+    rows, start = _RECURRENCES[key], get_entry(key).start
+    order, degree = len(rows) - 1, max(map(len, rows)) - 1
+    used = order + (order + 1) * (degree + 1) + 2  # two more equations than unknowns
+    terms = [WALKED[key](i) for i in range(start, start + 2 * used)]
+    # the committed row is the only one of its order and degree
+    assert _guess(terms[:used], start, order, degree) == _normalised(rows, degree)
+    assert _holds(rows, terms, start)
+    # a copy with one coefficient moved by one fails the same check
+    for j, p in enumerate(rows):
+        for e in range(len(p)):
+            for delta in (-1, 1):
+                planted = [list(q) for q in rows]
+                planted[j][e] += delta
+                assert not _holds(planted, terms, start), (j, e, delta)

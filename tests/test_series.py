@@ -1,9 +1,11 @@
+import itertools
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from insets import series
 from insets.core import binomial, inset
 from insets.errors import NonUnitConstantTermError
 from insets.series import (
@@ -213,6 +215,30 @@ def test_builders_match_series_division(builder, num, den):
     for a, b in BIG_VALUES[builder]:
         full = series_div(poly_pow(*num(a, b)), poly_pow(*den(a, b)), 512)
         assert builder(a, b, 512) == full, (a, b)
+
+
+@pytest.mark.parametrize("builder,num,den", BUILDERS)
+def test_a_row_off_by_one_is_caught(builder, num, den, monkeypatch):
+    # the kernel handed each builder's row with one coefficient moved by one:
+    # an exact division must raise, or the expansions must leave the division
+    # oracle of test_builders_match_series_division
+    kernel = series._p_recursive
+    for j, e in itertools.product(range(3), range(2)):
+
+        def planted(start, seeds, rows, j=j, e=e):
+            rows = [list(p) for p in rows]
+            rows[j][e] += 1
+            return kernel(start, seeds, rows)
+
+        monkeypatch.setattr(series, "_p_recursive", planted)
+        caught = False
+        for a, b in [(3, 4), (5, 2), (7, 7)]:
+            full = series_div(poly_pow(*num(a, b)), poly_pow(*den(a, b)), 20)
+            try:
+                caught |= builder(a, b, 20) != full
+            except ArithmeticError:
+                caught = True
+        assert caught, (j, e)
 
 
 @pytest.mark.parametrize("builder", [gf_in_m, gf_in_n, gf_in_k])
