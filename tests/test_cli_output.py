@@ -86,6 +86,71 @@ def test_verify_failure_output(monkeypatch, capsys, fmt, expected):
     assert capsys.readouterr().out == expected
 
 
+# ``verify all 3 3`` with f(2, 1, 1) one too large: twelve identities fail,
+# four of them with a p, and first_row never reads the cell
+_VERIFY_ALL_PLANTED = [
+    ("pascal", [2, 1, 1], 6, 5),
+    ("vertical", [1, 2, 1], 8, 9),
+    ("doubling", [2, 1, 1], 6, 5),
+    ("alternating_shift", [1, 2, 1, 1], 6, 5),
+    ("horizontal_full", [1, 1, 0], 6, 5),
+    ("horizontal_tail", [2, 1, 1], 9, 10),
+    ("telescoping", [2, 1, 1, 1], 5, 4),
+    ("zeros_placement", [0, 3, 1, 2], 12, 13),
+    ("binomial_sum", [2, 1, 1], 6, 5),
+    ("convolution", [2, 1, 1], 6, 5),
+    ("shifted_window", [2, 1, 1], 6, 5),
+    ("parity_shift", [2, 1, 1, 1], 1, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt,expected",
+    [
+        ("plain",
+         "FAIL pascal at (2, 1, 1): lhs=6 rhs=5\n"
+         "FAIL vertical at (1, 2, 1): lhs=8 rhs=9\n"
+         "FAIL doubling at (2, 1, 1): lhs=6 rhs=5\n"
+         "FAIL alternating_shift at (1, 2, 1, 1): lhs=6 rhs=5\n"
+         "FAIL horizontal_full at (1, 1, 0): lhs=6 rhs=5\n"
+         "FAIL horizontal_tail at (2, 1, 1): lhs=9 rhs=10\n"
+         "FAIL telescoping at (2, 1, 1, 1): lhs=5 rhs=4\n"
+         "FAIL zeros_placement at (0, 3, 1, 2): lhs=12 rhs=13\n"
+         "FAIL binomial_sum at (2, 1, 1): lhs=6 rhs=5\n"
+         "FAIL convolution at (2, 1, 1): lhs=6 rhs=5\n"
+         "FAIL shifted_window at (2, 1, 1): lhs=6 rhs=5\n"
+         "FAIL parity_shift at (2, 1, 1, 1): lhs=1 rhs=6\n"
+         "PASS first_row\n"),
+        ("csv",
+         "identity,result,params,lhs,rhs\n"
+         "pascal,FAIL,2 1 1,6,5\n"
+         "vertical,FAIL,1 2 1,8,9\n"
+         "doubling,FAIL,2 1 1,6,5\n"
+         "alternating_shift,FAIL,1 2 1 1,6,5\n"
+         "horizontal_full,FAIL,1 1 0,6,5\n"
+         "horizontal_tail,FAIL,2 1 1,9,10\n"
+         "telescoping,FAIL,2 1 1 1,5,4\n"
+         "zeros_placement,FAIL,0 3 1 2,12,13\n"
+         "binomial_sum,FAIL,2 1 1,6,5\n"
+         "convolution,FAIL,2 1 1,6,5\n"
+         "shifted_window,FAIL,2 1 1,6,5\n"
+         "parity_shift,FAIL,2 1 1 1,1,6\n"
+         "first_row,PASS,,,\n"),
+        ("json",
+         "[" + ", ".join(
+             [f'{{"identity": "{name}", "m_max": 3, "n_max": 3, "passed": false, '
+              f'"counterexample": {{"params": {params}, "lhs": "{lhs}", "rhs": "{rhs}"}}}}'
+              for name, params, lhs, rhs in _VERIFY_ALL_PLANTED]
+             + ['{"identity": "first_row", "m_max": 3, "n_max": 3, "passed": true}'])
+         + "]\n"),
+    ],
+)
+def test_verify_all_failure_output(monkeypatch, capsys, fmt, expected):
+    monkeypatch.setattr("insets.identities.inset", _planted)
+    assert cli.main(["verify", "all", "3", "3", "--format", fmt]) == 1
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize(
     "fmt,expected",
     [

@@ -49,9 +49,9 @@ def test_negative_bounds_rejected():
         verify("pascal", -1, 2)
 
 
-def _off_by_one_at(target):
+def _off_by_one_at(*targets):
     def stub(m, n, k):
-        return inset(m, n, k) + (1 if (m, n, k) == target else 0)
+        return inset(m, n, k) + (1 if (m, n, k) in targets else 0)
 
     return stub
 
@@ -169,7 +169,9 @@ def test_verify_all_shares_one_table():
 # convolution were still summed term by term for every p.  The non-square
 # grids show a run sized from max(m_max, n_max) instead of from m_max and
 # n_max.  The 18 x 18 row, the grid the benchmark verifies, was recorded
-# while each checker still read one cell (m, n, k) per call.
+# while each checker still read one cell (m, n, k) per call.  The four thin
+# grids were recorded while the transforms and running sums were still kept
+# on the table, and stepped by whichever (m, n) first asked for them.
 CELLS_ASKED = {
     (6, 6): [483, 558, 483, 945, 672, 392, 476, 1050, 441, 441, 385, 441, 42],
     (3, 9): [390, 495, 396, 630, 525, 200, 392, 1275, 360, 360, 230, 360, 75],
@@ -177,6 +179,10 @@ CELLS_ASKED = {
     (2, 12): [416, 564, 426, 663, 572, 156, 423, 1989, 390, 390, 191, 390, 117],
     (12, 2): [426, 449, 416, 1768, 672, 546, 403, 714, 390, 390, 386, 390, 12],
     (18, 18): [7923, 8472, 7923, 20007, 11400, 7220, 7904, 20748, 7581, 7581, 6441, 7581, 228],
+    (5, 0): [38, 0, 0, 0, 56, 42, 0, 48, 33, 33, 33, 33, 3],
+    (0, 5): [0, 68, 38, 40, 66, 12, 37, 168, 33, 33, 18, 33, 33],
+    (1, 7): [120, 182, 126, 165, 180, 48, 124, 484, 112, 112, 63, 112, 52],
+    (7, 1): [126, 131, 120, 396, 189, 144, 112, 187, 112, 112, 111, 112, 7],
 }
 
 
@@ -327,19 +333,46 @@ def _reference_report(name, m_max, n_max, source, read=None):
     return report
 
 
+# the thin grids are where a checker could skip its set-up or its first step
+# at m = 0 or n = 0 (alternating_shift reads no row of the 5 x 0 grid)
+TERM_BY_TERM_GRIDS = [(8, 8), (2, 12), (12, 2), (5, 0), (0, 5), (1, 7), (7, 1)]
+# p = 0 alone on these grids, where each comparison is of a cell with itself
+SELF_COMPARED = {("alternating_shift", (0, 5)), ("zeros_placement", (5, 0))}
+
+
 @pytest.mark.parametrize("name", IDENTITY_NAMES)
-@pytest.mark.parametrize("grid", [(8, 8), (2, 12), (12, 2)], ids=lambda g: f"{g[0]}x{g[1]}")
+@pytest.mark.parametrize("grid", TERM_BY_TERM_GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
 def test_transforms_match_term_by_term_reports(name, grid):
     read = set()
     clean = _reference_report(name, *grid, inset, read)
     assert clean.passed and verify(name, *grid) == clean
     rng = random.Random(f"{name}:{grid}")
-    # first_row reads only 12 cells of the 12 x 2 grid
-    for cell in rng.sample(sorted(read), min(25, len(read))):
+    cells = sorted(read)
+    # first_row reads only 12 cells of the 12 x 2 grid, and pascal none of 0 x 5
+    for cell in rng.sample(cells, min(25, len(cells))):
         planted = _off_by_one_at(cell)
         want = _reference_report(name, *grid, planted)
         assert verify(name, *grid, inset_fn=planted) == want, cell
-        assert not want.passed, cell
+        assert want.passed is ((name, grid) in SELF_COMPARED), cell
+    # two faults at once: the report is the first of both in (m, n, k, p) order
+    for pair in (rng.sample(cells, 2) for _ in range(8 if len(cells) > 1 else 0)):
+        planted = _off_by_one_at(*pair)
+        assert verify(name, *grid, inset_fn=planted) == _reference_report(
+            name, *grid, planted), pair
+
+
+@pytest.mark.parametrize("grid", [(6, 6), (3, 9)], ids=lambda g: f"{g[0]}x{g[1]}")
+def test_verify_all_matches_verify_under_faults(grid):
+    # an identity that stops at its counterexample leaves the shared table to
+    # the next one, which must still report what it reports on its own
+    read = set()
+    for name in IDENTITY_NAMES:
+        _reference_report(name, *grid, inset, read)
+    for cell in random.Random(f"all:{grid}").sample(sorted(read), 12):
+        planted = _off_by_one_at(cell)
+        want = [verify(name, *grid, inset_fn=planted) for name in IDENTITY_NAMES]
+        assert verify_all(*grid, inset_fn=planted) == want, cell
+        assert not all(report.passed for report in want), cell
 
 
 @pytest.mark.parametrize("name", IDENTITY_NAMES)
