@@ -24,6 +24,7 @@ _EXPORTS = {
         "inset_binomial_sum",
         "inset_dp",
         "inset_power_sum",
+        "inset_row",
         "trapeze_table",
     ),
     "errors": (

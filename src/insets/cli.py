@@ -35,10 +35,10 @@ MAX_SERIES_ORDER = 512
 # printed 3.4 MB; which = m or n takes under 0.1 s there.  For which = k the
 # cost grows about quadratically in b: `series k 0 40000 512` took 0.8 s
 MAX_SERIES_PARAM = 20_000
-# verify_all(32, 32), the work of `verify all 32 32`, took 0.45-0.50 s and
-# 25.6 MB peak RSS as a process on a 2-core VM with Python 3.11.7, and
-# verify_all(36, 36) 0.75 s in process: from 16 to 36 the cost grows about
-# as the 3.7th power of the bound
+# verify_all(32, 32), the work of `verify all 32 32`, took 1.1-1.4 s and
+# 24.6 MB peak RSS as a process on a 2-core VM with Python 3.11.7, and
+# verify_all(36, 36) 1.6 s in process: from 16 to 36 the cost grows about
+# as the 3.4th power of the bound
 MAX_VERIFY_GRID = 32
 
 

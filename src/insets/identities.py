@@ -28,10 +28,14 @@ the reversed orientation fails on the very first nontrivial cell.
 Each call reads its values from one table that lives only for that call
 (:func:`verify_all` shares one across its thirteen identities).  The table
 holds cells and nothing else: one row per (m, n), the values f(m, n, k) for a
-run of k, each asked of the value source, ``inset`` or the injected
-``inset_fn``, the first time it is read and never again.  It also holds the
-Pascal rows, and its ``grid()`` states the one walk order of every report:
-m outer, n inner.
+run of k, each asked of the value source the first time it is read and never
+again.  The source is asked for ranges: ``source(m, n, lo, hi)`` returns
+f(m, n, k) for lo <= k < hi.  By default it is ``inset_row``, which walks the
+row's recurrence along k with one exact division a cell, seeded from
+``inset``; an injected ``inset_fn`` is mapped over the range, so it is asked
+exactly the cells the table reads.  The table also holds the Pascal rows,
+and its ``grid()`` states the one walk order of every report: m outer, n
+inner.
 
 A checker walks that grid once.  It takes the table and yields, for each
 (m, n) in turn, None or the first comparison there that fails, and the report
@@ -83,15 +87,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product, repeat, zip_longest
+from itertools import product, zip_longest
 from operator import add, mul, sub
 from typing import Callable, Iterator, Optional
 
-from .core import inset
+from .core import inset_row
 
 __all__ = ["Counterexample", "GridReport", "IDENTITY_NAMES", "verify", "verify_all"]
 
 InsetFn = Callable[[int, int, int], int]
+RowSource = Callable[[int, int, int, int], list]  # (m, n, lo, hi) -> f(m, n, lo..hi-1)
 
 
 @dataclass(frozen=True)
@@ -114,14 +119,15 @@ class _Table:
     """The inset values one verification call reads, kept as rows.
 
     The row of (m, n) holds f(m, n, k) for one run of k.  A read past either
-    end of the run grows the run to it, asking the value source once for each
-    new cell, so a cell is asked the first time it is read and never again.
+    end of the run grows the run to it, asking the row source once for the
+    new cells on that side as one range, so a cell is asked the first time it
+    is read and never again.
     The table also holds the Pascal rows C(p, 0..p) for p <= ``m_max + n_max``
     and the bounds of the grid.  It keeps nothing of any identity, so an
     identity that stops early leaves nothing behind for the next one.
     """
 
-    def __init__(self, source: InsetFn, m_max: int, n_max: int) -> None:
+    def __init__(self, source: RowSource, m_max: int, n_max: int) -> None:
         self.source = source
         self.m_max = m_max
         self.n_max = n_max
@@ -135,10 +141,10 @@ class _Table:
             run = self._rows[m, n] = [lo, []]
         start, cells = run
         if lo < start:
-            cells[:0] = map(self.source, repeat(m), repeat(n), range(lo, start))
+            cells[:0] = self.source(m, n, lo, start)
             run[0] = start = lo
         if hi > start + len(cells):
-            cells += map(self.source, repeat(m), repeat(n), range(start + len(cells), hi))
+            cells += self.source(m, n, start + len(cells), hi)
         return cells[lo - start:hi - start]
 
     def cell(self, m: int, n: int, k: int) -> int:
@@ -377,7 +383,16 @@ def verify(
 
     ``inset_fn`` substitutes the value source, which lets tests confirm the
     harness catches an injected fault.  Each cell is asked of the source at
-    most once per call.
+    most once per call.  Without it the rows are read with ``inset_row``.
+
+    On some grids an identity makes no comparison that could fail, and the
+    report passes whatever the values are: ``pascal`` with m_max = 0 reads
+    no cell; ``vertical``, ``doubling``, ``telescoping`` and
+    ``alternating_shift`` with n_max = 0 read none either, and
+    ``parity_shift`` with n_max = 0 has no p; ``zeros_placement`` with
+    n_max = 0 and ``alternating_shift`` with m_max = 0 have only p = 0,
+    where both sides are the same cell.  On every other grid each identity
+    has a comparison that a wrong value can fail.
     """
     if identity not in _CHECKERS:
         raise ValueError(f"unknown identity: {identity!r}")
@@ -395,8 +410,10 @@ def verify_all(
 def _table(m_max: int, n_max: int, inset_fn: InsetFn | None) -> _Table:
     if m_max < 0 or n_max < 0:
         raise ValueError("grid bounds must be nonnegative")
-    # ``inset`` is looked up per call, so it can be patched in tests
-    return _Table(inset_fn if inset_fn is not None else inset, m_max, n_max)
+    if inset_fn is None:
+        # ``inset_row`` is looked up per call, so it can be patched in tests
+        return _Table(inset_row, m_max, n_max)
+    return _Table(lambda m, n, lo, hi: [inset_fn(m, n, k) for k in range(lo, hi)], m_max, n_max)
 
 
 def _verify(f: _Table, identity: str) -> GridReport:

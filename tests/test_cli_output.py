@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from insets import cli
-from insets.core import inset
+from insets.core import inset_row
 
 _NAMES = (
     "pascal", "vertical", "doubling", "alternating_shift", "horizontal_full",
@@ -66,8 +66,9 @@ def test_golden_stdout(capsys, command, fmt, status, expected):
     assert capsys.readouterr().out == expected
 
 
-def _planted(m, n, k):
-    return inset(m, n, k) + ((m, n, k) == (2, 1, 1))
+def _planted(m, n, lo, hi):
+    """The default row source with f(2, 1, 1) one too large."""
+    return [v + ((m, n, k) == (2, 1, 1)) for k, v in enumerate(inset_row(m, n, lo, hi), lo)]
 
 
 @pytest.mark.parametrize(
@@ -81,7 +82,7 @@ def _planted(m, n, k):
     ],
 )
 def test_verify_failure_output(monkeypatch, capsys, fmt, expected):
-    monkeypatch.setattr("insets.identities.inset", _planted)
+    monkeypatch.setattr("insets.identities.inset_row", _planted)
     assert cli.main(["verify", "pascal", "3", "3", "--format", fmt]) == 1
     assert capsys.readouterr().out == expected
 
@@ -146,7 +147,7 @@ _VERIFY_ALL_PLANTED = [
     ],
 )
 def test_verify_all_failure_output(monkeypatch, capsys, fmt, expected):
-    monkeypatch.setattr("insets.identities.inset", _planted)
+    monkeypatch.setattr("insets.identities.inset_row", _planted)
     assert cli.main(["verify", "all", "3", "3", "--format", fmt]) == 1
     assert capsys.readouterr().out == expected
 

@@ -1,4 +1,5 @@
 import gc
+import random
 import tracemalloc
 
 import pytest
@@ -13,9 +14,11 @@ from insets.core import (
     inset_binomial_sum,
     inset_dp,
     inset_power_sum,
+    inset_row,
     trapeze_table,
 )
 from insets.identities import verify_all
+from insets.series import poly_mul, poly_pow
 
 ALL_METHODS = [inset_alternating, inset_power_sum, inset_binomial_sum, inset_dp]
 
@@ -120,6 +123,45 @@ def test_inset_narrow_free_block_at_n_4000():
 
 def test_inset_large_matches_power_sum():
     assert inset(1000, 1000, 1000) == inset_power_sum(1000, 1000, 1000)
+
+
+@pytest.mark.parametrize("m", range(31))
+def test_inset_row_matches_inset_on_every_range(m):
+    # every 0 <= lo <= hi <= m+n+3 with m + n <= 30: seeded at 0, at lo with
+    # one cell, at lo and lo+1, and past m + n where no seed is read
+    for n in range(31 - m):
+        top = m + n + 3
+        cells = [inset(m, n, k) for k in range(top)]
+        for lo in range(top + 1):
+            for hi in range(lo, top + 1):
+                assert inset_row(m, n, lo, hi) == cells[lo:hi], (m, n, lo, hi)
+
+
+def test_inset_row_matches_polynomial_product():
+    # the coefficients of (1+x)^m (2+x)^n, multiplied out with no recurrence
+    for m in range(0, 41, 5):
+        for n in range(0, 41, 4):
+            product = poly_mul(poly_pow([1, 1], m), poly_pow([2, 1], n))
+            assert inset_row(m, n, 0, m + n + 2) == [*product, 0], (m, n)
+
+
+@pytest.mark.parametrize("m,n", [(600, 900), (900, 600), (750, 750), (613, 887)])
+def test_inset_row_large_matches_inset(m, n):
+    rng = random.Random(f"{m}:{n}")
+    for lo in (0, (m + n) // 2, m + n - 2):
+        row = inset_row(m, n, lo, m + n + 2)
+        assert len(row) == m + n + 2 - lo
+        ks = range(lo, m + n + 2)
+        for k in {lo, lo + 1, m + n, m + n + 1, *rng.sample(ks, min(6, len(ks)))}:
+            assert row[k - lo] == inset(m, n, k), (m, n, lo, k)
+
+
+def test_inset_row_edges():
+    for args in [(-1, 2, 0, 3), (2, -1, 0, 3), (2, 2, -1, 3)]:
+        with pytest.raises(ValueError):
+            inset_row(*args)
+    for lo, hi in [(0, 0), (3, 3), (4, 2), (9, 9), (9, 0)]:
+        assert inset_row(3, 2, lo, hi) == []
 
 
 def test_support():

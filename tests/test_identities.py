@@ -6,6 +6,7 @@ from operator import mul
 
 import pytest
 
+from insets import core
 from insets.core import inset
 from insets.identities import (
     IDENTITY_NAMES,
@@ -155,6 +156,63 @@ def test_each_cell_asked_of_the_source_once(name):
     asked, source = _counting_source()
     assert verify(name, 6, 6, inset_fn=source).passed
     assert asked and max(asked.values()) == 1
+
+
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
+@pytest.mark.parametrize("grid", [(6, 6), (3, 9), (9, 3), (0, 5), (5, 0)],
+                         ids=lambda g: f"{g[0]}x{g[1]}")
+def test_row_source_matches_inset_cells(name, grid):
+    # the default source reads rows along k; inset_fn=inset reads cell by cell
+    assert verify(name, *grid) == verify(name, *grid, inset_fn=inset)
+
+
+def test_verify_all_row_source_matches_inset_cells():
+    assert verify_all(12, 12) == verify_all(12, 12, inset_fn=inset)
+
+
+def test_default_source_inset_calls(monkeypatch):
+    # the default source seeds each row read from inset at its first one or
+    # two cells, so the 18 x 18 grid the benchmark verifies makes 816 inset
+    # calls, where reading cell by cell made 27,568
+    calls = 0
+
+    def counted(m, n, k):
+        nonlocal calls
+        calls += 1
+        return inset(m, n, k)
+
+    monkeypatch.setattr(core, "inset", counted)
+    assert all(report.passed for report in verify_all(18, 18))
+    assert calls == 816
+
+
+# The (identity, grid) pairs among the grids with m_max = 0 or n_max = 0 up to
+# 5 where no comparison can fail: pascal reads no cell with m_max = 0, and
+# vertical, doubling, alternating_shift and telescoping none with n_max = 0;
+# alternating_shift with m_max = 0 and zeros_placement with n_max = 0 have only
+# p = 0, where both sides are the same cell; parity_shift with n_max = 0 has
+# no p.
+_THIN_GRIDS = [(0, n) for n in range(6)] + [(m, 0) for m in range(1, 6)]
+CANNOT_FAIL = {
+    *(("pascal", (0, n)) for n in range(6)),
+    *((name, (m, 0)) for m in range(6) for name in (
+        "vertical", "doubling", "alternating_shift", "telescoping", "zeros_placement",
+        "parity_shift")),
+    *(("alternating_shift", (0, n)) for n in range(6)),
+}
+
+
+def test_passes_where_no_comparison_can_fail():
+    # +1 planted at each cell the grid asks in turn: the pairs where every
+    # plant still passes are exactly those that cannot fail
+    unfailable = set()
+    for name in IDENTITY_NAMES:
+        for grid in _THIN_GRIDS:
+            asked, source = _counting_source()
+            assert verify(name, *grid, inset_fn=source).passed
+            if all(verify(name, *grid, inset_fn=_off_by_one_at(cell)).passed for cell in asked):
+                unfailable.add((name, grid))
+    assert unfailable == CANNOT_FAIL
 
 
 def test_verify_all_shares_one_table():
