@@ -35,11 +35,16 @@ MAX_SERIES_ORDER = 512
 # printed 3.4 MB; which = m or n takes under 0.1 s there.  For which = k the
 # cost grows about quadratically in b: `series k 0 40000 512` took 0.8 s
 MAX_SERIES_PARAM = 20_000
-# verify_all(32, 32), the work of `verify all 32 32`, took 1.1-1.4 s and
-# 24.6 MB peak RSS as a process on a 2-core VM with Python 3.11.7, and
-# verify_all(36, 36) 1.6 s in process: from 16 to 36 the cost grows about
-# as the 3.4th power of the bound
+# verify_all(32, 32), the work of `verify all 32 32`, took 1.0-1.2 s and
+# 25.1 MB peak RSS as a process on a 2-core VM with Python 3.11.7, and
+# verify_all(36, 36) 1.2 s in process: from 16 to 36 the cost grows about
+# as the 3.7th power of the bound
 MAX_VERIFY_GRID = 32
+# `table` prints (m_max + 1) (n + 1 + m_max/2) values of up to n + m_max bits.
+# With n + m_max = 700 it took at most 1.8 s (`table 350 350 --format csv`)
+# and 131 MB peak RSS (`table 200 500 --format json`) as a process on a 2-core
+# VM with Python 3.11.7, printing up to 34 MB; `table 0 1000` took 167 MB
+MAX_TABLE_SIZE = 700
 
 
 def _nonneg(text: str) -> int:
@@ -107,6 +112,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if args.n + args.m_max > MAX_TABLE_SIZE:
+        raise ValueError(f"n + m_max exceeds {MAX_TABLE_SIZE}")
     rows = [[str(v) for v in row] for row in trapeze_table(args.n, args.m_max)]
     doc = {"n": args.n, "m_max": args.m_max, "rows": rows}
     cells = ((m, k, v) for m, row in enumerate(rows) for k, v in enumerate(row))

@@ -22,7 +22,8 @@ four routes above are the independent oracles it is checked against.  It
 keeps no cache; a caller that reads a cell many times keeps its own table
 for the length of its call, as :func:`insets.identities.verify` does.
 :func:`inset_row` reads a run of k at once, walking the coefficient
-recurrence of (1+x)^m (2+x)^n with one exact division a cell.
+recurrence of (1+x)^m (2+x)^n from k = 0 with one exact division a cell; it
+never calls :func:`inset`.
 
 All values are exact Python integers.  Everything here is a pure function
 of its arguments, and the module keeps no state at all.
@@ -146,12 +147,13 @@ def inset_row(m: int, n: int, lo: int, hi: int) -> list[int]:
     f(m, n, 0..m+n) are the coefficients c[k] of (1+x)^m (2+x)^n, by the
     power-sum form.  That product is D-finite: (1+x)(2+x) P' = (2m+n +
     (m+n)x) P gives 2(k+1) c[k+1] = (2m+n-3k) c[k] + (m+n+1-k) c[k-1]
-    (Petkovsek, Wilf and Zeilberger, *A = B*, ch. 6).  The walk starts from
-    c[-1] = 0 and c[0] = 2^n when lo = 0; otherwise it seeds from ``inset``
-    at lo, and at lo+1 when it needs two or more cells, so a one-cell read
-    costs exactly one ``inset`` call.  Each later cell is one multiply-add
-    and one floor division, exact because its result is the integer
-    c[k+1].  Cells past m + n are 0, and take no step and no seed.
+    (Petkovsek, Wilf and Zeilberger, *A = B*, ch. 6).  The walk always
+    starts from c[-1] = 0 and c[0] = 2^n and never calls ``inset``, so it is
+    a route of its own.  Each later cell is one multiply-add and one floor
+    division, exact because its result is the integer c[k+1].  Cells past
+    m + n are 0 and take no step.  A read from lo still walks the lo cells
+    before it, so it costs lo extra steps: for one cell ``inset``, with
+    min(m, n, k, m+n-k) + 1 steps, is the cheaper call.
 
     The generic walker ``series._p_recursive`` could step the same
     recurrence, but its Horner step, ``divmod`` and deque push per term made
@@ -161,14 +163,13 @@ def inset_row(m: int, n: int, lo: int, hi: int) -> list[int]:
     _check_index(m, n, lo)
     if hi <= lo:
         return []
-    end = min(hi, m + n + 1)  # the cells from k = end on are 0
-    row = [1 << n] if lo == 0 else [inset(m, n, k) for k in range(lo, min(end, lo + 2))]
-    prev, cur = [0, 0, *row][-2:]  # c[k-1] and c[k] at the last seed k
-    for k in range(lo + len(row) - 1, end - 1):
+    prev, cur = 0, 1 << n  # c[k-1] and c[k], from k = 0
+    row = [cur]
+    for k in range(min(hi, m + n + 1) - 1):  # the cells from k = m + n + 1 on are 0
         prev, cur = cur, ((2 * m + n - 3 * k) * cur + (m + n + 1 - k) * prev) // (2 * k + 2)
         row.append(cur)
-    row += [0] * (hi - lo - len(row))
-    return row
+    row += [0] * (hi - len(row))
+    return row[lo:]
 
 
 def trapeze_table(n: int, m_max: int) -> list[list[int]]:

@@ -27,15 +27,14 @@ the reversed orientation fails on the very first nontrivial cell.
 
 Each call reads its values from one table that lives only for that call
 (:func:`verify_all` shares one across its thirteen identities).  The table
-holds cells and nothing else: one row per (m, n), the values f(m, n, k) for a
-run of k, each asked of the value source the first time it is read and never
-again.  The source is asked for ranges: ``source(m, n, lo, hi)`` returns
-f(m, n, k) for lo <= k < hi.  By default it is ``inset_row``, which walks the
-row's recurrence along k with one exact division a cell, seeded from
-``inset``; an injected ``inset_fn`` is mapped over the range, so it is asked
-exactly the cells the table reads.  The table also holds the Pascal rows,
-and its ``grid()`` states the one walk order of every report: m outer, n
-inner.
+holds cells and nothing else: one row per (m, n), made the first time the row
+is read.  By default a row is the whole f(m, n, 0..m_max + n_max + 3), zeros
+past k = m + n, from one ``inset_row`` walk along k with one exact division
+a cell; no checker reads past k = m_max + n_max + 3.  An injected
+``inset_fn`` is asked each cell the first time it is read and never again,
+so it is asked exactly the cells the checkers read.  The table also holds
+the Pascal rows, and its ``grid()`` states the one walk order of every
+report: m outer, n inner.
 
 A checker walks that grid once.  It takes the table and yields, for each
 (m, n) in turn, None or the first comparison there that fails, and the report
@@ -87,6 +86,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product, zip_longest
 from operator import add, mul, sub
 from typing import Callable, Iterator, Optional
@@ -96,7 +96,6 @@ from .core import inset_row
 __all__ = ["Counterexample", "GridReport", "IDENTITY_NAMES", "verify", "verify_all"]
 
 InsetFn = Callable[[int, int, int], int]
-RowSource = Callable[[int, int, int, int], list]  # (m, n, lo, hi) -> f(m, n, lo..hi-1)
 
 
 @dataclass(frozen=True)
@@ -115,41 +114,56 @@ class GridReport:
     counterexample: Counterexample | None
 
 
-class _Table:
-    """The inset values one verification call reads, kept as rows.
+class _Cells(dict):
+    """One row read through an injected source: k -> f(m, n, k) for the k read
+    so far, each asked as ``ask(k)`` the first time it is read."""
 
-    The row of (m, n) holds f(m, n, k) for one run of k.  A read past either
-    end of the run grows the run to it, asking the row source once for the
-    new cells on that side as one range, so a cell is asked the first time it
-    is read and never again.
+    def __init__(self, ask: Callable[[int], int]) -> None:
+        self.ask = ask
+
+    def __missing__(self, k: int) -> int:
+        self[k] = value = self.ask(k)
+        return value
+
+
+class _Table(dict):
+    """The inset values one verification call reads: (m, n) -> its row, made
+    the first time it is read.
+
+    By default the row is a list, f(m, n, k) for 0 <= k <= m_max + n_max + 3,
+    from one ``inset_row`` call.  ``horizontal_full`` reads f(m+1, n, m+n+3)
+    and no checker reads a larger k, so every read falls inside it.  With an
+    injected ``inset_fn`` the row is a :class:`_Cells`, so a cell is asked of
+    it the first time it is read and never again.
     The table also holds the Pascal rows C(p, 0..p) for p <= ``m_max + n_max``
     and the bounds of the grid.  It keeps nothing of any identity, so an
     identity that stops early leaves nothing behind for the next one.
     """
 
-    def __init__(self, source: RowSource, m_max: int, n_max: int) -> None:
-        self.source = source
-        self.m_max = m_max
-        self.n_max = n_max
+    def __init__(self, m_max: int, n_max: int, inset_fn: InsetFn | None) -> None:
+        if m_max < 0 or n_max < 0:
+            raise ValueError("grid bounds must be nonnegative")
+        self.inset_fn = inset_fn
+        self.m_max, self.n_max = m_max, n_max
         self.pascal = [[math.comb(p, j) for j in range(p + 1)] for p in range(m_max + n_max + 1)]
-        self._rows: dict[tuple[int, int], list] = {}  # (m, n) -> [first k, cells]
+
+    def __missing__(self, key: tuple[int, int]) -> list[int] | _Cells:
+        m, n = key
+        if self.inset_fn is None:
+            # ``inset_row`` is looked up per row, so it can be patched in tests
+            self[key] = row = inset_row(m, n, 0, self.m_max + self.n_max + 4)
+        else:
+            self[key] = row = _Cells(partial(self.inset_fn, m, n))
+        return row
 
     def row(self, m: int, n: int, lo: int, hi: int) -> list[int]:
         """f(m, n, k) for 0 <= lo <= k < hi."""
-        run = self._rows.get((m, n))
-        if run is None:
-            run = self._rows[m, n] = [lo, []]
-        start, cells = run
-        if lo < start:
-            cells[:0] = self.source(m, n, lo, start)
-            run[0] = start = lo
-        if hi > start + len(cells):
-            cells += self.source(m, n, start + len(cells), hi)
-        return cells[lo - start:hi - start]
+        row = self[m, n]
+        return row[lo:hi] if self.inset_fn is None else list(map(row.__getitem__, range(lo, hi)))
 
     def cell(self, m: int, n: int, k: int) -> int:
         """f(m, n, k) for k >= 0."""
-        return self.row(m, n, k, k + 1)[0]
+        return self[m, n][k]
 
     def grid(self) -> Iterator[tuple[int, int]]:
         """Every (m, n) of the grid in report order: m outer, n inner."""
@@ -383,7 +397,9 @@ def verify(
 
     ``inset_fn`` substitutes the value source, which lets tests confirm the
     harness catches an injected fault.  Each cell is asked of the source at
-    most once per call.  Without it the rows are read with ``inset_row``.
+    most once per call, and only the cells the checker reads.  Without it
+    each (m, n) read is one ``inset_row`` walk from k = 0, made the first
+    time the row is read, and ``inset`` is not called.
 
     On some grids an identity makes no comparison that could fail, and the
     report passes whatever the values are: ``pascal`` with m_max = 0 reads
@@ -396,24 +412,15 @@ def verify(
     """
     if identity not in _CHECKERS:
         raise ValueError(f"unknown identity: {identity!r}")
-    return _verify(_table(m_max, n_max, inset_fn), identity)
+    return _verify(_Table(m_max, n_max, inset_fn), identity)
 
 
 def verify_all(
     m_max: int, n_max: int, *, inset_fn: InsetFn | None = None
 ) -> list[GridReport]:
     """Run every identity, reported in declaration order, on one shared table."""
-    table = _table(m_max, n_max, inset_fn)
+    table = _Table(m_max, n_max, inset_fn)
     return [_verify(table, name) for name in IDENTITY_NAMES]
-
-
-def _table(m_max: int, n_max: int, inset_fn: InsetFn | None) -> _Table:
-    if m_max < 0 or n_max < 0:
-        raise ValueError("grid bounds must be nonnegative")
-    if inset_fn is None:
-        # ``inset_row`` is looked up per call, so it can be patched in tests
-        return _Table(inset_row, m_max, n_max)
-    return _Table(lambda m, n, lo, hi: [inset_fn(m, n, k) for k in range(lo, hi)], m_max, n_max)
 
 
 def _verify(f: _Table, identity: str) -> GridReport:

@@ -162,6 +162,21 @@ def test_verify_at_grid_budget_runs(capsys):
     assert capsys.readouterr().out == "PASS first_row\n"
 
 
+@pytest.mark.parametrize("params", [("0", "701"), ("701", "0")])
+def test_table_size_cap(params):
+    assert cli.MAX_TABLE_SIZE == 700
+    result = run_cli("table", *params)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: n + m_max exceeds 700\n"
+
+
+def test_table_at_size_budget_runs(capsys):
+    assert cli.main(["table", "700", "0"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert len(line.split()) == 701 and line.split()[0] == str(2**700)
+
+
 def test_compute_json():
     result = run_cli("compute", "1", "3", "2", "--format", "json")
     assert json.loads(result.stdout) == {"m": 1, "n": 3, "k": 2, "value": "18"}

@@ -126,12 +126,18 @@ def test_inset_large_matches_power_sum():
 
 
 @pytest.mark.parametrize("m", range(31))
-def test_inset_row_matches_inset_on_every_range(m):
-    # every 0 <= lo <= hi <= m+n+3 with m + n <= 30: seeded at 0, at lo with
-    # one cell, at lo and lo+1, and past m + n where no seed is read
-    for n in range(31 - m):
+def test_inset_row_matches_inset_on_every_range(monkeypatch, m):
+    # every 0 <= lo <= hi <= m+n+3 with m + n <= 30, one cell and past m + n
+    # included; the cells are read from inset first, and inset_row must then
+    # find every range without it
+    cells_of = {n: [inset(m, n, k) for k in range(m + n + 3)] for n in range(31 - m)}
+
+    def refused(*index):
+        raise AssertionError(f"inset{index} called")
+
+    monkeypatch.setattr(core, "inset", refused)
+    for n, cells in cells_of.items():
         top = m + n + 3
-        cells = [inset(m, n, k) for k in range(top)]
         for lo in range(top + 1):
             for hi in range(lo, top + 1):
                 assert inset_row(m, n, lo, hi) == cells[lo:hi], (m, n, lo, hi)

@@ -171,19 +171,15 @@ def test_verify_all_row_source_matches_inset_cells():
 
 
 def test_default_source_inset_calls(monkeypatch):
-    # the default source seeds each row read from inset at its first one or
-    # two cells, so the 18 x 18 grid the benchmark verifies makes 816 inset
-    # calls, where reading cell by cell made 27,568
-    calls = 0
+    # the default source walks each row from k = 0 and never calls inset, so
+    # the 18 x 18 grid the benchmark verifies makes no inset call, where
+    # seeding each row read from inset made 816 and reading cell by cell 27,568
+    def refused(m, n, k):
+        raise AssertionError(f"inset({m}, {n}, {k}) called")
 
-    def counted(m, n, k):
-        nonlocal calls
-        calls += 1
-        return inset(m, n, k)
-
-    monkeypatch.setattr(core, "inset", counted)
+    monkeypatch.setattr(core, "inset", refused)
     assert all(report.passed for report in verify_all(18, 18))
-    assert calls == 816
+    assert all(verify(name, 18, 18).passed for name in IDENTITY_NAMES)
 
 
 # The (identity, grid) pairs among the grids with m_max = 0 or n_max = 0 up to
@@ -448,3 +444,30 @@ def test_planted_row_ends_are_reported(name, grid):
             report = verify(name, m_max, n_max, inset_fn=planted)
             assert not report.passed, cell
             assert report == _reference_report(name, m_max, n_max, planted), cell
+
+
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
+@pytest.mark.parametrize("grid", [(6, 6), (3, 9), (9, 3)], ids=lambda g: f"{g[0]}x{g[1]}")
+def test_default_rows_report_planted_faults_as_injected_cells(monkeypatch, name, grid):
+    # +1 planted in the rows inset_row returns must give the report that +1
+    # planted through inset_fn gives: at the last k each row is read, where a
+    # row cut short or not zero-padded past m + n goes wrong, and at sampled
+    # cells.  It fails exactly where the term-by-term form reads the cell;
+    # the transforms also read row ends that no comparison uses.
+    asked, source = _counting_source()
+    assert verify(name, *grid, inset_fn=source).passed
+    read = set()
+    _reference_report(name, *grid, inset, read)
+    last = {}
+    for m, n, k in sorted(asked):
+        last[m, n] = (m, n, k)
+    rest = sorted(set(asked) - set(last.values()))
+    cells = [*last.values(), *random.Random(f"rows:{name}:{grid}").sample(rest, min(10, len(rest)))]
+    for cell in cells:
+        def planted(m, n, lo, hi, cell=cell):
+            return [v + ((m, n, k) == cell) for k, v in enumerate(core.inset_row(m, n, lo, hi), lo)]
+
+        monkeypatch.setattr("insets.identities.inset_row", planted)
+        report = verify(name, *grid)
+        assert report == verify(name, *grid, inset_fn=_off_by_one_at(cell)), cell
+        assert report.passed is (cell not in read), cell
