@@ -23,7 +23,9 @@ keeps no cache; a caller that reads a cell many times keeps its own table
 for the length of its call, as :func:`insets.identities.verify` does.
 :func:`inset_row` reads a run of k at once, walking the coefficient
 recurrence of (1+x)^m (2+x)^n from k = 0 with one exact division a cell; it
-never calls :func:`inset`.
+never calls :func:`inset`.  That walk is ``_binomial_product``, the one loop
+for every product (p + qx)^a (1 - rx)^(-b); the three generating functions
+of :mod:`insets.series` step it too.
 
 All values are exact Python integers.  Everything here is a pure function
 of its arguments, and the module keeps no state at all.
@@ -141,33 +143,46 @@ def inset(m: int, n: int, k: int) -> int:
     return total
 
 
+def _binomial_product(p: int, q: int, a: int, r: int, b: int, count: int) -> list[int]:
+    """The first ``count`` >= 1 coefficients c[j] of (p + qx)^a (1 - rx)^(-b).
+
+    The product F is D-finite: (p + qx)(1 - rx) F' = (aq(1 - rx) + br(p + qx)) F,
+    so its coefficients obey the two-term recurrence
+
+        p(j+1) c[j+1] = (lead - slope j) c[j] + tail (shift + j) c[j-1]
+
+    with lead = aq + bpr, slope = q - pr, tail = qr and shift = b - a - 1, from
+    c[-1] = 0 and c[0] = p^a (Petkovsek, Wilf and Zeilberger, *A = B*, ch. 6).
+    For integers p != 0, a >= 0 and any q, r, b every c[j] is an integer, so
+    the floor division of each step is exact: its result is the integer
+    c[j+1].  So the step needs no ``divmod`` guard; the catalog's fitted rows,
+    which a wrong fit could break, keep theirs in ``registry.exact_div``.
+    """
+    lead, slope, tail, shift = a * q + b * p * r, q - p * r, q * r, b - a - 1
+    prev, cur = 0, p**a
+    out = [cur]
+    for j in range(count - 1):
+        prev, cur = cur, ((lead - slope * j) * cur + tail * (shift + j) * prev) // (p * (j + 1))
+        out.append(cur)
+    return out
+
+
 def inset_row(m: int, n: int, lo: int, hi: int) -> list[int]:
     """f(m, n, k) for lo <= k < hi, walking the row's coefficient recurrence.
 
     f(m, n, 0..m+n) are the coefficients c[k] of (1+x)^m (2+x)^n, by the
-    power-sum form.  That product is D-finite: (1+x)(2+x) P' = (2m+n +
-    (m+n)x) P gives 2(k+1) c[k+1] = (2m+n-3k) c[k] + (m+n+1-k) c[k-1]
-    (Petkovsek, Wilf and Zeilberger, *A = B*, ch. 6).  The walk always
-    starts from c[-1] = 0 and c[0] = 2^n and never calls ``inset``, so it is
-    a route of its own.  Each later cell is one multiply-add and one floor
-    division, exact because its result is the integer c[k+1].  Cells past
-    m + n are 0 and take no step.  A read from lo still walks the lo cells
-    before it, so it costs lo extra steps: for one cell ``inset``, with
-    min(m, n, k, m+n-k) + 1 steps, is the cheaper call.
-
-    The generic walker ``series._p_recursive`` could step the same
-    recurrence, but its Horner step, ``divmod`` and deque push per term made
-    it no faster than one ``inset`` call per cell; this loop is what makes a
-    row cheaper than its cells.
+    power-sum form: ``_binomial_product`` with (p, q, a, r, b) = (2, 1, n,
+    -1, -m), whose step is 2(k+1) c[k+1] = (2m+n-3k) c[k] + (m+n+1-k) c[k-1].
+    The walk always starts from c[0] = 2^n and never calls ``inset``, so it is
+    a route of its own.  Cells past m + n are 0 and take no step.  A read
+    from lo still walks the lo cells before it, so it costs lo extra steps:
+    for one cell ``inset``, with min(m, n, k, m+n-k) + 1 steps, is the
+    cheaper call.
     """
     _check_index(m, n, lo)
     if hi <= lo:
         return []
-    prev, cur = 0, 1 << n  # c[k-1] and c[k], from k = 0
-    row = [cur]
-    for k in range(min(hi, m + n + 1) - 1):  # the cells from k = m + n + 1 on are 0
-        prev, cur = cur, ((2 * m + n - 3 * k) * cur + (m + n + 1 - k) * prev) // (2 * k + 2)
-        row.append(cur)
+    row = _binomial_product(2, 1, n, -1, -m, min(hi, m + n + 1))  # 0 from k = m + n + 1
     row += [0] * (hi - len(row))
     return row[lo:]
 

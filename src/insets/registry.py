@@ -4,7 +4,8 @@ Each entry is a stream of terms: ``entry.terms(i)`` returns a fresh
 iterator over the terms from linear index ``i`` on, and nothing is cached
 between calls, so ``next(entry.terms(i))`` is term ``i``.  Most entries
 read one inset cell per index, a few read two-dimensional arrays, and six
-walk the recurrence row ``_RECURRENCES`` holds for them from d seed terms.
+walk the recurrence row ``_RECURRENCES`` holds for them from d seed terms,
+on the P-recursive walker ``_recurrence``, with one ``exact_div`` a term.
 Each also names the fixture it is validated against, and optionally carries
 a closed form that must agree with the inset route term by term.
 
@@ -23,13 +24,13 @@ back into a cell.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .core import binomial, inset
 from .errors import FixtureError
 from .oeis import BFile
-from .series import _p_recursive, exact_div
 
 __all__ = [
     "SequenceEntry",
@@ -137,11 +138,43 @@ _RECURRENCES = {
 }
 
 
+def exact_div(numerator: int, denominator: int) -> int:
+    """Integer division that must leave no remainder."""
+    q, r = divmod(numerator, denominator)
+    if r:
+        raise ArithmeticError(f"{numerator} is not divisible by {denominator}")
+    return q
+
+
+def _horner(poly: tuple[int, ...], n: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * n + c
+    return acc
+
+
 def _recurrence(key: str, value: Callable[[int], int]) -> Terms:
-    """The terms value(i) from the start: d seeds read per term, then walked."""
-    rows = _RECURRENCES[key]
-    d = len(rows) - 1
-    return lambda start: _p_recursive(start, map(value, range(start, start + d)), rows)
+    """The terms value(i) from the start: d seeds read per term, then walked.
+
+    The walk steps the row p_0..p_d of ``_RECURRENCES[key]``.  Each later term
+    is one exact division by p_0(n), which must not vanish there, so a row
+    that does not fit the terms raises ArithmeticError at its first inexact
+    step instead of flooring.
+    """
+    head, *tail = _RECURRENCES[key]
+
+    def terms(start: int) -> Iterator[int]:
+        # a(n-d), ..., a(n-1), from the d seeds
+        window = deque(map(value, range(start, start + len(tail))), maxlen=len(tail))
+        yield from window
+        for n in itertools.count(start + len(tail)):
+            acc = 0
+            for poly, prior in zip(tail, reversed(window)):
+                acc -= _horner(poly, n) * prior
+            window.append(exact_div(acc, _horner(head, n)))
+            yield window[-1]
+
+    return terms
 
 
 def _rows(row: Callable[[int], range], value: Callable[[int, int], int]) -> Terms:

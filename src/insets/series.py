@@ -5,12 +5,12 @@ Polynomials are coefficient lists, index = degree, trailing zeros trimmed
 a list of N + 1 exact integer coefficients, arithmetic modulo x^(N+1).
 
 The three generating-function builders expand a product of binomial
-powers, which is D-finite, so each walks its two-term coefficient
-recurrence on ``_p_recursive``, the walker ``registry`` shares: ``order``
-steps of one exact division each.  Each builder states which coefficients
-carry inset values; coefficients outside that range are produced but
-unconstrained.  ``check_coefficients`` compares the constrained
-coefficients of an expansion with ``inset``.
+powers (p + qx)^a (1 - rx)^(-b), which is D-finite, so each walks its
+two-term coefficient recurrence on ``core._binomial_product``, the loop
+``core.inset_row`` also walks: ``order`` steps of one exact division each.
+Each builder states which coefficients carry inset values; coefficients
+outside that range are produced but unconstrained.  ``check_coefficients``
+compares the constrained coefficients of an expansion with ``inset``.
 
 ``series_div`` is public truncated division by a denominator with constant
 term +-1, which keeps the quotient integral.  Dividing the ``poly_pow``
@@ -20,11 +20,7 @@ route the builders are tested against.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
-from typing import Iterable, Iterator
-
-from .core import inset
+from .core import _binomial_product, inset
 from .errors import NonUnitConstantTermError
 
 __all__ = [
@@ -40,8 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 32
-
-Rows = tuple[tuple[int, ...], ...]
 
 
 def poly_trim(coeffs: list[int]) -> list[int]:
@@ -100,57 +94,11 @@ def series_div(num: list[int], den: list[int], order: int) -> list[int]:
     return out
 
 
-def exact_div(numerator: int, denominator: int) -> int:
-    """Integer division that must leave no remainder."""
-    q, r = divmod(numerator, denominator)
-    if r:
-        raise ArithmeticError(f"{numerator} is not divisible by {denominator}")
-    return q
-
-
-def _horner(poly: tuple[int, ...], n: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = acc * n + c
-    return acc
-
-
-def _p_recursive(start: int, seeds: Iterable[int], rows: Rows) -> Iterator[int]:
-    """a(start), a(start+1), ... where sum_j p_j(n) a(n-j) = 0 for rows p_0..p_d.
-
-    Each p_j is a coefficient tuple, lowest degree first, and ``seeds`` yields
-    a(start)..a(start+d-1).  Each later term is one exact division by p_0(n),
-    which must not vanish there, so a row that does not fit the terms raises
-    ArithmeticError at its first inexact step instead of flooring.
-    """
-    head, *tail = rows
-    window = deque(seeds, maxlen=len(tail))  # a(n-d), ..., a(n-1)
-    yield from window
-    for n in itertools.count(start + len(tail)):
-        acc = 0
-        for poly, prior in zip(tail, reversed(window)):
-            acc -= _horner(poly, n) * prior
-        window.append(exact_div(acc, _horner(head, n)))
-        yield window[-1]
-
-
 def _gf(p: int, q: int, a: int, r: int, b: int, order: int) -> list[int]:
-    """(p + q*x)^a * (1 - r*x)^(-b) modulo x^(order+1), one coefficient per step.
-
-    F is D-finite: (p + qx)(1 - rx) F' = (aq(1 - rx) + br(p + qx)) F, so its
-    coefficients obey the two-term recurrence
-
-        p(j+1) c[j+1] = (aq + bpr - (q - pr) j) c[j] + qr(b - a + j - 1) c[j-1]
-
-    from c[0] = p^a and c[-1] = 0 (Petkovsek, Wilf and Zeilberger, *A = B*,
-    ch. 6), walked as an order-2 row in n = j + 1.  The division is exact
-    because its result is the integer c[j+1].
-    """
+    """(p + q*x)^a * (1 - r*x)^(-b) modulo x^(order+1), one coefficient per step."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    lead, slope, tail, shift = a * q + b * p * r, q - p * r, q * r, b - a - 1
-    rows = ((0, p), (-(lead + slope), slope), (-tail * (shift - 1), -tail))
-    return list(itertools.islice(_p_recursive(-1, (0, p**a), rows), 1, order + 2))
+    return _binomial_product(p, q, a, r, b, order + 1)
 
 
 def gf_in_m(n: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:

@@ -415,8 +415,10 @@ def test_import_insets_loads_no_submodule():
         (("poly", "1", "4"), "chebyshev", _NOT_FOR_VALUES),
         (("verify", "all", "2", "2"), "identities",
          {"insets.registry", "insets.oeis", "urllib.request"}),
-        (("seq", "fibonacci", "4"), "registry", {"urllib.request", "insets.identities"}),
-        (("crosscheck", "delannoy"), "registry", {"urllib.request", "insets.identities"}),
+        (("seq", "fibonacci", "4"), "registry",
+         {"urllib.request", "insets.identities", "insets.series"}),
+        (("crosscheck", "delannoy"), "registry",
+         {"urllib.request", "insets.identities", "insets.series"}),
     ],
 )
 def test_subcommand_imports_only_its_modules(argv, own, absent):

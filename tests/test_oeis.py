@@ -1,5 +1,8 @@
 import http.server
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +187,15 @@ def test_all_packaged_fixtures_parse():
         parsed = load(fixture_id, cfg)
         assert isinstance(parsed, BFile)
         assert len(parsed) >= 15
+
+
+def test_make_fixtures_regenerates_the_packaged_files(tmp_path):
+    # every committed fixture is the output of tools/make_fixtures.py, byte for byte
+    root = Path(__file__).resolve().parent.parent
+    script = root / "tools" / "make_fixtures.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], check=True)
+    packaged = root / "src" / "insets" / "fixtures"
+    names = sorted(path.name for path in packaged.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (packaged / name).read_bytes(), name

@@ -11,6 +11,7 @@ from insets.oeis import BFile
 from insets.registry import (
     _RECURRENCES,
     braun_hough_cells,
+    exact_div,
     fibonacci_by_insets,
     generate,
     get_entry,
@@ -18,7 +19,6 @@ from insets.registry import (
     sulanke,
     validate,
 )
-from insets.series import exact_div
 from insets.words import count_bruteforce
 
 REQUIRED_KEYS = {

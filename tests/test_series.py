@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import time
 
@@ -5,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from insets import series
-from insets.core import binomial, inset
+from insets import core, series
+from insets.core import binomial, inset, inset_row
 from insets.errors import NonUnitConstantTermError
 from insets.series import (
     check_coefficients,
@@ -217,28 +219,49 @@ def test_builders_match_series_division(builder, num, den):
         assert builder(a, b, 512) == full, (a, b)
 
 
-@pytest.mark.parametrize("builder,num,den", BUILDERS)
+LOOP_SOURCE = inspect.getsource(core._binomial_product)
+
+
+def _planted_loop(name, delta):
+    """``core._binomial_product`` with ``name`` read as name + delta in its loop."""
+    tree = ast.parse(LOOP_SOURCE)
+    loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For))
+
+    class Plant(ast.NodeTransformer):
+        def visit_Name(self, node):
+            if node.id == name and isinstance(node.ctx, ast.Load):
+                return ast.BinOp(node, ast.Add(), ast.Constant(delta))
+            return node
+
+    loop.body = [Plant().visit(stmt) for stmt in loop.body]
+    namespace = {}
+    exec(compile(ast.fix_missing_locations(tree), "<planted>", "exec"), vars(core), namespace)
+    return namespace["_binomial_product"]
+
+
+@pytest.mark.parametrize("builder,num,den", [*BUILDERS, (inset_row, None, None)])
 def test_a_row_off_by_one_is_caught(builder, num, den, monkeypatch):
-    # the kernel handed each builder's row with one coefficient moved by one:
-    # an exact division must raise, or the expansions must leave the division
-    # oracle of test_builders_match_series_division
-    kernel = series._p_recursive
-    for j, e in itertools.product(range(3), range(2)):
-
-        def planted(start, seeds, rows, j=j, e=e):
-            rows = [list(p) for p in rows]
-            rows[j][e] += 1
-            return kernel(start, seeds, rows)
-
-        monkeypatch.setattr(series, "_p_recursive", planted)
+    # the core loop with one of its five constants moved by one: a step must
+    # raise, or each function on that loop must leave its oracle, the division
+    # of test_builders_match_series_division or inset cell by cell
+    cases = [(3, 4), (5, 2), (7, 7)]
+    if builder is inset_row:
+        calls = [((m, n, 0, m + n + 2), [inset(m, n, k) for k in range(m + n + 2)])
+                 for m, n in cases]
+    else:
+        calls = [((a, b, 20), series_div(poly_pow(*num(a, b)), poly_pow(*den(a, b)), 20))
+                 for a, b in cases]
+    for name, delta in itertools.product(("lead", "slope", "tail", "shift", "p"), (-1, 1)):
+        planted = _planted_loop(name, delta)
+        monkeypatch.setattr(core, "_binomial_product", planted)
+        monkeypatch.setattr(series, "_binomial_product", planted)
         caught = False
-        for a, b in [(3, 4), (5, 2), (7, 7)]:
-            full = series_div(poly_pow(*num(a, b)), poly_pow(*den(a, b)), 20)
+        for args, want in calls:
             try:
-                caught |= builder(a, b, 20) != full
+                caught |= builder(*args) != want
             except ArithmeticError:
                 caught = True
-        assert caught, (j, e)
+        assert caught, (name, delta)
 
 
 @pytest.mark.parametrize("builder", [gf_in_m, gf_in_n, gf_in_k])
