@@ -8,16 +8,15 @@ and indices (m, n, k, order, start, offset, agreed) are numbers.
 Exit status: 0 success, 1 verification failure, 2 usage error, 3 I/O or
 fixture error.
 
-Each handler imports the modules it runs, so a call pays start-up only for
-its own subcommand.
+Each handler imports the modules it runs, and each format imports its own
+writer (``json`` or ``csv``; plain needs none), so a call pays start-up only
+for its own subcommand and format.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
-import json
 import sys
 from typing import Iterable, Sequence
 
@@ -76,8 +75,12 @@ def _emit(
     with a space between them, so a long listing is never joined.
     """
     if fmt == "json":
+        import json
+
         print(json.dumps(doc, default=list))
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -85,12 +85,12 @@ make, and the report carries the first that fails, in their order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import product, zip_longest
 from operator import add, mul, sub
 from typing import Callable, Iterator, Optional
 
+from ._record import Record
 from .core import inset_row
 
 __all__ = ["Counterexample", "GridReport", "IDENTITY_NAMES", "verify", "verify_all"]
@@ -98,15 +98,13 @@ __all__ = ["Counterexample", "GridReport", "IDENTITY_NAMES", "verify", "verify_a
 InsetFn = Callable[[int, int, int], int]
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     params: tuple[int, ...]
     lhs: int
     rhs: int
 
 
-@dataclass(frozen=True)
-class GridReport:
+class GridReport(Record):
     identity: str
     m_max: int
     n_max: int

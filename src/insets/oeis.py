@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from ._record import Record
 from .errors import BFileFormatError, FixtureError, FixtureNotFoundError
 
 __all__ = [
@@ -34,10 +34,10 @@ ENV_OFFLINE = "INSETS_OFFLINE"
 DEFAULT_URL_TEMPLATE = "https://oeis.org/{id}/b{digits}.txt"
 
 _OEIS_ID_RE = re.compile(r"\AA(\d{6})\Z")
+_FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(Record):
     """Parsed fixture: ordered, contiguous (index, value) pairs."""
 
     oeis_id: str
@@ -55,13 +55,8 @@ class BFile:
         return len(self.entries)
 
 
-def _default_fixture_dir() -> Path:
-    return Path(__file__).resolve().parent / "fixtures"
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    fixture_dir: Path = field(default_factory=_default_fixture_dir)
+class CacheConfig(Record):
+    fixture_dir: Path = _FIXTURE_DIR
     remote_base_url: str | None = DEFAULT_URL_TEMPLATE
     offline: bool = False
     fetch: Callable[[str], str] | None = None  # injectable transport
@@ -76,7 +71,7 @@ def default_config(
     if offline is None:
         offline = os.environ.get(ENV_OFFLINE, "").strip().lower() in ("1", "true", "yes")
     return CacheConfig(
-        fixture_dir=Path(fixture_dir) if fixture_dir else _default_fixture_dir(),
+        fixture_dir=Path(fixture_dir) if fixture_dir else _FIXTURE_DIR,
         offline=offline,
     )
 

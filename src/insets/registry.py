@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from ._record import Record
 from .core import binomial, inset
 from .errors import FixtureError
 from .oeis import BFile
@@ -49,8 +49,7 @@ MIN_AGREEMENT = 15
 Terms = Callable[[int], Iterator[int]]
 
 
-@dataclass(frozen=True)
-class SequenceEntry:
+class SequenceEntry(Record):
     key: str
     fixture_id: str  # OEIS id (Axxxxxx) or a local fixture stem
     description: str
@@ -64,15 +63,13 @@ class SequenceEntry:
         return self.fixture_id if self.fixture_id.startswith("A") else None
 
 
-@dataclass(frozen=True)
-class SequenceSlice:
+class SequenceSlice(Record):
     key: str
     start: int
     values: list[int]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     key: str
     fixture_id: str
     status: str  # "validated" | "provisional"

@@ -405,6 +405,23 @@ def test_import_insets_loads_no_submodule():
     assert [name for name in loaded if name.startswith("insets.")] == []
 
 
+# what no call needs: dataclasses and inspect (with the ast, dis and tokenize
+# behind them, most of the library's import time once), and the writer of a
+# format the call does not print
+_HEAVY = {"dataclasses", "inspect", "json", "csv"}
+
+
+@pytest.fixture(scope="module")
+def preloaded():
+    """Modules a bare interpreter already holds, those a site .pth file
+    imports included, which no check here counts against insets."""
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    return set(result.stdout.split())
+
+
 @pytest.mark.parametrize(
     "argv,own,absent",
     [
@@ -421,16 +438,33 @@ def test_import_insets_loads_no_submodule():
          {"urllib.request", "insets.identities", "insets.series"}),
     ],
 )
-def test_subcommand_imports_only_its_modules(argv, own, absent):
+def test_subcommand_imports_only_its_modules(preloaded, argv, own, absent):
     # diagnose a failure with: python -X importtime -m insets <argv>
+    for fmt in ("plain", "json", "csv"):
+        result = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, *argv, "--format", fmt],
+            capture_output=True, text=True, check=True,
+        )
+        code, *loaded = result.stdout.splitlines()
+        assert code == "0"
+        assert f"insets.{own}" in loaded
+        assert sorted(absent.intersection(loaded)) == [], fmt
+        assert sorted((_HEAVY - {fmt}).intersection(loaded) - preloaded) == [], fmt
+
+
+def test_importing_every_submodule_loads_no_dataclasses_or_inspect(preloaded):
+    package = Path(cli.__file__).parent
+    names = sorted(p.stem for p in package.glob("*.py") if not p.stem.startswith("__"))
+    script = "import importlib, sys\n" + "".join(
+        f"importlib.import_module('insets.{name}')\n" for name in names
+    ) + "print(*sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT, *argv],
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    code, *loaded = result.stdout.splitlines()
-    assert code == "0"
-    assert f"insets.{own}" in loaded
-    assert sorted(absent.intersection(loaded)) == []
+    loaded = set(result.stdout.split())
+    assert {f"insets.{name}" for name in names} <= loaded
+    assert len(names) >= 8
+    assert sorted({"dataclasses", "inspect"}.intersection(loaded) - preloaded) == []
 
 
 _README_EXAMPLE = re.compile(r"^insets (.+?)\s+# -> (.+)$")

@@ -1,7 +1,9 @@
-"""Exact stdout and exit status of every subcommand in each output format."""
+"""Exact stdout and exit status of every subcommand in each output format,
+and the exact help and usage-error text."""
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,3 +247,30 @@ def test_callers_digit_cap_is_restored(capsys, argv, status):
         assert sys.get_int_max_str_digits() == 4321
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+# recorded with COLUMNS=80; argparse wraps help to the terminal width
+_HELP = Path(__file__).parent / "cli_help"
+_SUBCOMMANDS = ("compute", "table", "words", "verify", "series", "poly", "seq", "crosscheck")
+_ARGPARSE_LAYOUT = pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="goldens hold the argparse layout of Python 3.10-3.11"
+)
+
+
+@_ARGPARSE_LAYOUT
+@pytest.mark.parametrize("sub", ("", *_SUBCOMMANDS))
+def test_help_text(monkeypatch, capsys, sub):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, "--help"] if sub else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == ((_HELP / f"{sub or 'insets'}.txt").read_text(), "")
+
+
+@_ARGPARSE_LAYOUT
+def test_usage_error_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "x", "1", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", (_HELP / "compute_x_1_1.stderr").read_text())
