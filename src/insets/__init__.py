@@ -47,6 +47,8 @@ _EXPORTS = {
         "validate",
     ),
     "series": (
+        "DEFAULT_ORDER",
+        "check_coefficients",
         "gf_in_k",
         "gf_in_m",
         "gf_in_n",

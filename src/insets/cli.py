@@ -40,9 +40,10 @@ MAX_SERIES_PARAM = 20_000
 # as the 3.7th power of the bound
 MAX_VERIFY_GRID = 32
 # `table` prints (m_max + 1) (n + 1 + m_max/2) values of up to n + m_max bits.
-# With n + m_max = 700 it took at most 1.8 s (`table 350 350 --format csv`)
-# and 131 MB peak RSS (`table 200 500 --format json`) as a process on a 2-core
-# VM with Python 3.11.7, printing up to 34 MB; `table 0 1000` took 167 MB
+# With n + m_max = 700 it took at most 1.6 s (`table 350 350 --format csv`)
+# and 101 MB peak RSS (`table 200 500 --format json`; 37 MB in plain and csv)
+# as a process on a 2-core VM with Python 3.11.7, printing up to 34 MB;
+# `table 0 1000` took 210 MB in json and 67 MB in plain
 MAX_TABLE_SIZE = 700
 
 
@@ -117,10 +118,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.n + args.m_max > MAX_TABLE_SIZE:
         raise ValueError(f"n + m_max exceeds {MAX_TABLE_SIZE}")
-    rows = [[str(v) for v in row] for row in trapeze_table(args.n, args.m_max)]
-    doc = {"n": args.n, "m_max": args.m_max, "rows": rows}
+    # the int rows are the table's one copy: json and plain read the same lazy
+    # view, each row turned to decimal as it is written, and csv reads the ints
+    rows = trapeze_table(args.n, args.m_max)
+    decimal = (map(str, row) for row in rows)
+    doc = {"n": args.n, "m_max": args.m_max, "rows": decimal}
     cells = ((m, k, v) for m, row in enumerate(rows) for k, v in enumerate(row))
-    _emit(args.format, doc, ("m", "k", "value"), cells, map(" ".join, rows))
+    _emit(args.format, doc, ("m", "k", "value"), cells, map(" ".join, decimal))
     return 0
 
 

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BFileFormatError",
+    "CapExceededError",
+    "FixtureError",
+    "FixtureNotFoundError",
+    "NonUnitConstantTermError",
+]
+
 
 class CapExceededError(ValueError):
     """An enumeration was requested beyond its configured tractability cap."""

@@ -28,12 +28,14 @@ the reversed orientation fails on the very first nontrivial cell.
 Each call reads its values from one table that lives only for that call
 (:func:`verify_all` shares one across its thirteen identities).  The table
 holds cells and nothing else: one row per (m, n), made the first time the row
-is read.  By default a row is the whole f(m, n, 0..m_max + n_max + 3), zeros
-past k = m + n, from one ``inset_row`` walk along k with one exact division
-a cell; no checker reads past k = m_max + n_max + 3.  An injected
-``inset_fn`` is asked each cell the first time it is read and never again,
-so it is asked exactly the cells the checkers read.  The table also holds
-the Pascal rows, and its ``grid()`` states the one walk order of every
+is read, and every row is one list of f(m, n, 0..m_max + n_max + 3); no
+checker reads past k = m_max + n_max + 3.  By default the row is filled at
+once, zeros past k = m + n, from one ``inset_row`` walk along k with one
+exact division a cell.  With an injected ``inset_fn`` the row starts unread,
+and each read fills the cells it covers that are still unread, asking the
+source for each in ascending k; a cell once asked is never asked again, so
+the source is asked exactly the cells the checkers read.  The table also
+holds the Pascal rows, and its ``grid()`` states the one walk order of every
 report: m outer, n inner.
 
 A checker walks that grid once.  It takes the table and yields, for each
@@ -76,16 +78,15 @@ a row over k:
 * ``convolution``: the inner sums sum_j C(i,j) C(m, k-i+j) form one table
   per m, which steps to m+1 by Pascal's rule, so each cell is one sum over i.
 
-The transforms read whole rows, k = 0..m_max + n_max + 2, sized from m_max
-and n_max; every other row stops where the term-by-term forms above stop
-reading.  Every comparison, with its lhs and rhs values, is one those forms
-make, and the report carries the first that fails, in their order.
+The transforms read whole rows, k = 0..m_max + n_max + 2, one cell short of
+the table's rows; every other row stops where the term-by-term forms above
+stop reading.  Every comparison, with its lhs and rhs values, is one those
+forms make, and the report carries the first that fails, in their order.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from itertools import product, zip_longest
 from operator import add, mul, sub
 from typing import Callable, Iterator, Optional
@@ -112,27 +113,19 @@ class GridReport(Record):
     counterexample: Counterexample | None
 
 
-class _Cells(dict):
-    """One row read through an injected source: k -> f(m, n, k) for the k read
-    so far, each asked as ``ask(k)`` the first time it is read."""
-
-    def __init__(self, ask: Callable[[int], int]) -> None:
-        self.ask = ask
-
-    def __missing__(self, k: int) -> int:
-        self[k] = value = self.ask(k)
-        return value
+_UNREAD = object()  # a cell of an injected source's row not yet asked
 
 
 class _Table(dict):
     """The inset values one verification call reads: (m, n) -> its row, made
     the first time it is read.
 
-    By default the row is a list, f(m, n, k) for 0 <= k <= m_max + n_max + 3,
-    from one ``inset_row`` call.  ``horizontal_full`` reads f(m+1, n, m+n+3)
-    and no checker reads a larger k, so every read falls inside it.  With an
-    injected ``inset_fn`` the row is a :class:`_Cells`, so a cell is asked of
-    it the first time it is read and never again.
+    Every row is a list of ``width`` = m_max + n_max + 4 cells, f(m, n, k) for
+    0 <= k < width.  ``horizontal_full`` reads f(m+1, n, m+n+3) and no
+    checker reads a larger k, so every read falls inside it.  By default the
+    row comes whole from one ``inset_row`` call.  With an injected
+    ``inset_fn`` it starts as ``_UNREAD`` cells, and a cell is asked of the
+    source the first time it is read, then kept in the row.
     The table also holds the Pascal rows C(p, 0..p) for p <= ``m_max + n_max``
     and the bounds of the grid.  It keeps nothing of any identity, so an
     identity that stops early leaves nothing behind for the next one.
@@ -143,25 +136,30 @@ class _Table(dict):
             raise ValueError("grid bounds must be nonnegative")
         self.inset_fn = inset_fn
         self.m_max, self.n_max = m_max, n_max
+        self.width = m_max + n_max + 4
         self.pascal = [[math.comb(p, j) for j in range(p + 1)] for p in range(m_max + n_max + 1)]
 
-    def __missing__(self, key: tuple[int, int]) -> list[int] | _Cells:
-        m, n = key
-        if self.inset_fn is None:
-            # ``inset_row`` is looked up per row, so it can be patched in tests
-            self[key] = row = inset_row(m, n, 0, self.m_max + self.n_max + 4)
-        else:
-            self[key] = row = _Cells(partial(self.inset_fn, m, n))
+    def __missing__(self, key: tuple[int, int]) -> list:
+        # ``inset_row`` is looked up per row, so it can be patched in tests
+        self[key] = row = (inset_row(*key, 0, self.width) if self.inset_fn is None
+                           else [_UNREAD] * self.width)
         return row
 
     def row(self, m: int, n: int, lo: int, hi: int) -> list[int]:
         """f(m, n, k) for 0 <= lo <= k < hi."""
         row = self[m, n]
-        return row[lo:hi] if self.inset_fn is None else list(map(row.__getitem__, range(lo, hi)))
+        if self.inset_fn is not None:
+            for k in range(lo, hi):  # ascending k, each cell asked once
+                if row[k] is _UNREAD:
+                    row[k] = self.inset_fn(m, n, k)
+        return row[lo:hi]
 
     def cell(self, m: int, n: int, k: int) -> int:
         """f(m, n, k) for k >= 0."""
-        return self[m, n][k]
+        value = self[m, n][k]
+        if value is _UNREAD:
+            value = self[m, n][k] = self.inset_fn(m, n, k)
+        return value
 
     def grid(self) -> Iterator[tuple[int, int]]:
         """Every (m, n) of the grid in report order: m outer, n inner."""
@@ -221,7 +219,7 @@ def _check_doubling(f, m, n):
 def _check_alternating_shift(f):
     # rhs at p is the p-th forward difference of f(m-p+1, ., k), at n-1:
     # cols[x][p] = sum_i (-1)^i C(p,i) f(m-p+1, x+p-i, .) for p <= m
-    width = f.m_max + f.n_max + 3
+    width = f.width - 1  # k = 0..m_max + n_max + 2
     cols = [[]] * (f.m_max + f.n_max + 1)
     for m, n in f.grid():
         if n < 1:
@@ -286,9 +284,8 @@ def _check_telescoping(f, m, n):
 def _check_zeros_placement(f):
     # rhs at p is the binomial transform of f(., n-p, .), taken at p:
     # diags[n][n'] = sum_i C(n-n',i) f(m+i, n', .) for n' <= n
-    width = f.m_max + f.n_max + 3
-    # the rows f(i, n', .) the transform reads, each once
-    rows = [[f.row(i, n, 0, width) for i in range(f.m_max + f.n_max - n + 1)]
+    # the rows f(i, n', 0..m_max + n_max + 2) the transform reads, each once
+    rows = [[f.row(i, n, 0, f.width - 1) for i in range(f.m_max + f.n_max - n + 1)]
             for n in range(f.n_max + 1)]
 
     def pascal_sums(m, n):
@@ -330,7 +327,7 @@ def _check_convolution(f):
 
 def _check_shifted_window(f):
     # C(i+k, k) for i <= m_max and k <= m_max + n_max + 2
-    square = [[math.comb(i + k, k) for k in range(f.m_max + f.n_max + 3)]
+    square = [[math.comb(i + k, k) for k in range(f.width - 1)]
               for i in range(f.m_max + 1)]
     for m, n in f.grid():
         lo = max(0, n - m)  # m + k >= n

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Optional
 from ._record import Record
 from .core import binomial, inset
 from .errors import FixtureError
-from .oeis import BFile
+from .oeis import _OEIS_ID_RE, BFile
 
 __all__ = [
     "SequenceEntry",
@@ -60,7 +60,7 @@ class SequenceEntry(Record):
 
     @property
     def oeis_id(self) -> str | None:
-        return self.fixture_id if self.fixture_id.startswith("A") else None
+        return self.fixture_id if _OEIS_ID_RE.match(self.fixture_id) else None
 
 
 class SequenceSlice(Record):

@@ -33,6 +33,12 @@ def test_dir_lists_every_export_before_it_is_resolved():
     assert result.stdout == "[]\n"
 
 
+def test_exports_restate_each_submodule_all():
+    for module, names in insets._EXPORTS.items():
+        source = importlib.import_module(f"insets.{module}")
+        assert set(names) == set(source.__all__), module
+
+
 def test_unknown_name_is_attribute_error_naming_the_module():
     with pytest.raises(AttributeError, match="'insets'.*'no_such_name'"):
         insets.no_such_name

@@ -89,6 +89,9 @@ def test_sequence_entry_oeis_id():
 
     assert SequenceEntry("delannoy", "A008288", "", terms).oeis_id == "A008288"
     assert SequenceEntry("cells", "cell_counts", "", terms).oeis_id is None
+    # the rule oeis.bfile_name and oeis.load apply: A and six digits
+    assert SequenceEntry("short", "A12", "", terms).oeis_id is None
+    assert SequenceEntry("aztec", "Aztec_cells", "", terms).oeis_id is None
 
 
 def test_validation_report_validated():
