@@ -222,7 +222,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     from . import oeis, registry
 
-    cfg = oeis.default_config(fixture_dir=args.fixtures, offline=args.offline or None)
+    cfg = oeis.default_config(fixture_dir=args.fixtures)
     entries = (
         registry.list_entries()
         if args.key == "all"
@@ -295,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", parents=[common], help="validate against fixtures")
     p.add_argument("key", help="sequence key or 'all'")
     p.add_argument("--fixtures", metavar="DIR", help="fixture directory override")
-    p.add_argument("--offline", action="store_true", help="never touch the network")
     p.set_defaults(handler=_cmd_crosscheck)
 
     return parser

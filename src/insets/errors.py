@@ -18,11 +18,11 @@ class NonUnitConstantTermError(ValueError):
 
 
 class FixtureError(Exception):
-    """A sequence fixture could not be obtained or used."""
+    """A sequence fixture could not be read or used."""
 
 
 class FixtureNotFoundError(FixtureError):
-    """No local fixture file and fetching is disabled or impossible."""
+    """The fixture directory holds no file for the requested fixture id."""
 
 
 class BFileFormatError(FixtureError):

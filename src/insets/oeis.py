@@ -1,13 +1,10 @@
-"""Loading, parsing, and caching of b-file sequence fixtures.
+"""Reading and parsing of the committed b-file sequence fixtures.
 
 A b-file is the plain-text OEIS dump format: one "index value" pair per
 line, '#' comments and blank lines allowed, indices strictly increasing and
-contiguous.  The package ships committed fixtures for every catalogued
-sequence so the whole test suite runs offline; remote fetching happens only
-for a fixture missing from the cache directory and goes through an
-injectable text-by-URL transport.
-The default transport imports ``urllib.request`` on the first remote fetch,
-so loading committed fixtures never pays for it.
+contiguous.  The package ships a committed fixture for every catalogued
+sequence, regenerated by ``tools/make_fixtures.py``; this module only reads
+them, from one fixture directory, and never fetches or writes a file.
 """
 
 from __future__ import annotations
@@ -15,10 +12,9 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
-from typing import Callable
 
 from ._record import Record
-from .errors import BFileFormatError, FixtureError, FixtureNotFoundError
+from .errors import BFileFormatError, FixtureNotFoundError
 
 __all__ = [
     "BFile",
@@ -30,8 +26,6 @@ __all__ = [
 ]
 
 ENV_FIXTURE_DIR = "INSETS_FIXTURES"
-ENV_OFFLINE = "INSETS_OFFLINE"
-DEFAULT_URL_TEMPLATE = "https://oeis.org/{id}/b{digits}.txt"
 
 _OEIS_ID_RE = re.compile(r"\AA(\d{6})\Z")
 _FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
@@ -57,23 +51,13 @@ class BFile(Record):
 
 class CacheConfig(Record):
     fixture_dir: Path = _FIXTURE_DIR
-    remote_base_url: str | None = DEFAULT_URL_TEMPLATE
-    offline: bool = False
-    fetch: Callable[[str], str] | None = None  # injectable transport
 
 
-def default_config(
-    fixture_dir: str | Path | None = None, offline: bool | None = None
-) -> CacheConfig:
-    """Config honoring the INSETS_FIXTURES and INSETS_OFFLINE environment overrides."""
+def default_config(fixture_dir: str | Path | None = None) -> CacheConfig:
+    """Config for ``fixture_dir``, else INSETS_FIXTURES, else the packaged fixtures."""
     if fixture_dir is None:
         fixture_dir = os.environ.get(ENV_FIXTURE_DIR)
-    if offline is None:
-        offline = os.environ.get(ENV_OFFLINE, "").strip().lower() in ("1", "true", "yes")
-    return CacheConfig(
-        fixture_dir=Path(fixture_dir) if fixture_dir else _FIXTURE_DIR,
-        offline=offline,
-    )
+    return CacheConfig(fixture_dir=Path(fixture_dir) if fixture_dir else _FIXTURE_DIR)
 
 
 def bfile_name(fixture_id: str) -> str:
@@ -107,42 +91,14 @@ def parse_bfile(text: str, oeis_id: str) -> BFile:
     return BFile(oeis_id=oeis_id, entries=tuple(entries))
 
 
-def _fetch_with_urllib(url: str) -> str:
-    import urllib.request
-
-    with urllib.request.urlopen(url, timeout=30) as resp:
-        return resp.read().decode("utf-8")
-
-
-def _store_atomic(path: Path, text: str) -> None:
-    # partial files never appear under the final name
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def load(fixture_id: str, cfg: CacheConfig | None = None) -> BFile:
-    """Fixture from the cache directory, fetching and persisting on a miss.
+    """Parsed fixture file from the configured fixture directory.
 
-    Offline mode performs no network operation of any kind.  Only OEIS-form
-    ids (A followed by six digits) are ever fetched; failed transport is
-    reported as a FixtureError.
+    Raises FixtureNotFoundError when the directory holds no file for
+    ``fixture_id``, and BFileFormatError when the file is malformed.
     """
     cfg = cfg or default_config()
     path = Path(cfg.fixture_dir) / bfile_name(fixture_id)
-    if path.is_file():
-        return parse_bfile(path.read_text(encoding="utf-8"), fixture_id)
-    if cfg.offline or cfg.remote_base_url is None or not _OEIS_ID_RE.match(fixture_id):
+    if not path.is_file():
         raise FixtureNotFoundError(f"no fixture for {fixture_id} in {cfg.fixture_dir}")
-    url = cfg.remote_base_url.format(id=fixture_id, digits=fixture_id[1:])
-    fetch = cfg.fetch if cfg.fetch is not None else _fetch_with_urllib
-    try:
-        text = fetch(url)
-    except FixtureError:
-        raise
-    except Exception as exc:
-        raise FixtureError(f"fetching {fixture_id} from {url} failed: {exc}") from exc
-    bfile = parse_bfile(text, fixture_id)  # a malformed fetch is never stored
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _store_atomic(path, text)
-    return bfile
+    return parse_bfile(path.read_text(encoding="utf-8"), fixture_id)

@@ -8,9 +8,9 @@ The enumerator :func:`iter_words` streams only satisfying words.  It splits
 each word into a head and a tail of the last TAIL_LENGTH letters.  Once per
 call it tabulates the lex-sorted tails grouped by their count of 2s; it then
 walks the heads in lex order, pruned by the remaining budget of 2s, and
-joins each head to the tails that complete its count.  The exhaustive filter
-over all 3^(m+n) raw words survives as :func:`count_bruteforce`, the
-independent test oracle.
+joins each head to the tails that complete its count, all of a head's words
+in one ``str.join``.  The exhaustive filter over all 3^(m+n) raw words
+survives as :func:`count_bruteforce`, the independent test oracle.
 """
 
 from __future__ import annotations
@@ -53,8 +53,13 @@ def iter_words(m: int, n: int, k: int) -> Iterator[str]:
         tail = "".join(letters)
         tails[tail.count("2")].append(tail)
     heads = _heads(alphabets[:split], k - (total - split), k)
+    # one join and one split per head build its words; the guard keeps a
+    # head with no tails from yielding itself (no group is empty while every
+    # tail alphabet holds a 1 and a 2)
     return itertools.chain.from_iterable(
-        map(head.__add__, tails[k - twos]) for head, twos in heads
+        (head + ("\n" + head).join(tails[k - twos])).split("\n")
+        for head, twos in heads
+        if tails[k - twos]
     )
 
 

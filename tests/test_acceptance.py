@@ -251,11 +251,7 @@ def test_criterion_9_cli_contract():
         # exit-status mapping: 0 ok, 1 verification failure, 2 usage, 3 fixture
         assert run("verify", "bogus", "2", "2").returncode == 2
         assert run("compute", "1").returncode == 2
-        assert (
-            run("crosscheck", "delannoy", "--fixtures", "/nonexistent", "--offline")
-            .returncode
-            == 3
-        )
+        assert run("crosscheck", "delannoy", "--fixtures", "/nonexistent").returncode == 3
         doc = json.loads(run("compute", "1", "3", "2", "--format", "json").stdout)
         assert doc == {"m": 1, "n": 3, "k": 2, "value": "18"}
 

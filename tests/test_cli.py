@@ -226,9 +226,7 @@ def test_crosscheck_all_plain():
 
 
 def test_crosscheck_missing_fixture_dir(tmp_path):
-    result = run_cli(
-        "crosscheck", "delannoy", "--fixtures", str(tmp_path / "void"), "--offline"
-    )
+    result = run_cli("crosscheck", "delannoy", "--fixtures", str(tmp_path / "void"))
     assert result.returncode == 3
 
 

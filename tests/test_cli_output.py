@@ -228,9 +228,9 @@ def test_arguments_are_parsed_under_the_digit_cap(capsys):
 
 def test_fixture_flags_belong_to_crosscheck_only(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["compute", "1", "3", "2", "--offline"])
+        cli.main(["compute", "1", "3", "2", "--fixtures", "DIR"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --offline" in capsys.readouterr().err
+    assert "unrecognized arguments: --fixtures DIR" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(

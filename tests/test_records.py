@@ -32,12 +32,7 @@ RECORDS = [
     (
         CacheConfig,
         (),
-        {
-            "fixture_dir": PACKAGED_FIXTURES,
-            "remote_base_url": oeis.DEFAULT_URL_TEMPLATE,
-            "offline": False,
-            "fetch": None,
-        },
+        {"fixture_dir": PACKAGED_FIXTURES},
     ),
 ]
 IDS = [record.__name__ for record, _, _ in RECORDS]

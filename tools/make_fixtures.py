@@ -9,10 +9,8 @@ brute-force triangle count for the multipartite-graph entry.  The test
 suite then plays the package's formula route against these files.
 
 Fixtures follow the b-file layout ("index value" per line, '#' comments).
-When online access to oeis.org is available, `insets.oeis.load` fetches an
-A-numbered file from the source, but only when no local file exists: it
-returns a file already present as it is, so replacing one with the oeis.org
-copy means deleting it first.
+The package only reads them and never fetches one: to compare a fixture
+with oeis.org, download that sequence's b-file by hand and diff the two.
 
 Usage: python tools/make_fixtures.py [output_dir]
 """
