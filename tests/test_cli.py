@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -10,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from insets import cli
 from insets.core import trapeze_table
@@ -398,8 +401,11 @@ def test_table_keeps_one_copy_of_its_values(tmp_path):
 _FOOTPRINT = """
 import contextlib, io, sys
 from insets import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 print(code)
 print("\\n".join(sorted(sys.modules)))
 """
@@ -428,6 +434,10 @@ def test_import_insets_loads_no_submodule():
 # behind them, most of the library's import time once), and the writer of a
 # format the call does not print
 _HEAVY = {"dataclasses", "inspect", "json", "csv"}
+
+# what a well-formed call does not need: argparse, the gettext it imports and
+# the locale its first message lookup imports
+_ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 @pytest.fixture(scope="module")
@@ -469,6 +479,97 @@ def test_subcommand_imports_only_its_modules(preloaded, argv, own, absent):
         assert f"insets.{own}" in loaded
         assert sorted(absent.intersection(loaded)) == [], fmt
         assert sorted((_HEAVY - {fmt}).intersection(loaded) - preloaded) == [], fmt
+        assert sorted(_ARGPARSE.intersection(loaded) - preloaded) == [], fmt
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("--help",), "0"),
+        (("words", "--help"), "0"),
+        (("compute", "x", "1", "1"), "2"),
+        (("seq", "fibonacci"), "2"),
+        (("compute", "1", "3", "2", "--format=json"), "0"),
+    ],
+)
+def test_help_usage_errors_and_other_spellings_load_argparse(argv, code):
+    result = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    status, *loaded = result.stdout.splitlines()
+    assert status == code
+    assert "argparse" in loaded
+
+
+_PARSER = cli._build_parser()
+
+
+def _valid(convert):
+    """Tokens a converter of the grammar table accepts."""
+    if isinstance(convert, tuple):
+        return st.sampled_from(convert)
+    if convert is str:
+        return st.sampled_from(["delannoy", "all", "pascal", "a b", ""])
+    return st.integers(0, 40).map(str)
+
+
+# tokens that are valid somewhere, invalid elsewhere, or never canonical
+_NOISE = st.sampled_from([
+    "0", "-1", "x", "", "-", "--", "-h", "--help", "--format", "--format=json",
+    "--for", "--form", "--limit", "--lim=2", "--force", "--check", "--fixtures",
+    "json", "m", "q", "compute", "1_0", " 7", "+3", "-x y", "1" * 5000,
+])
+
+
+@st.composite
+def _argvs(draw):
+    """A call drawn from the grammar table: the positionals in order, the
+    options among them at random places, then up to two tokens replaced,
+    inserted or dropped."""
+    command = draw(st.sampled_from(list(cli._GRAMMAR)))
+    _, positionals, options, _ = cli._GRAMMAR[command]
+    groups = [[draw(_valid(convert))] for _, convert, _ in positionals]
+    for flag, convert, _, _ in (cli._FORMAT, *options):
+        if draw(st.booleans()):
+            group = [flag] if convert is None else [flag, draw(_valid(convert))]
+            groups.insert(draw(st.integers(0, len(groups))), group)
+    argv = [command, *(token for group in groups for token in group)]
+    edits = st.tuples(st.sampled_from("rid"), st.integers(0, len(argv)), _NOISE)
+    for edit, at, token in draw(st.lists(edits, max_size=2)):
+        if edit == "i":
+            argv.insert(at, token)
+        elif argv and edit == "r":
+            argv[at % len(argv)] = token
+        elif argv:
+            del argv[at % len(argv)]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_quick_parse_agrees_with_argparse(argv):
+    quick = cli._quick_parse(argv)
+    if quick is not None:
+        assert vars(quick) == vars(_PARSER.parse_args(argv))
+
+
+def test_main_without_argv_parses_sys_argv_without_argparse(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["insets", "compute", "1", "3", "2"])
+    monkeypatch.setattr(cli, "_build_parser", None)
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "18\n"
+
+
+@pytest.mark.parametrize("seed,tiny", [(1, False), (2, False), (3, False), (1, True)])
+def test_benchmark_cli_calls_take_the_fast_path(seed, tiny):
+    workloads = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    calls = runpy.run_path(str(workloads))["make_inputs"]("cli-session", seed, tiny)
+    assert {argv[0] for _, argv in calls} == set(cli._GRAMMAR)
+    for _, argv in calls:
+        quick = cli._quick_parse(argv)
+        assert quick is not None, argv
+        assert vars(quick) == vars(_PARSER.parse_args(argv))
 
 
 def test_importing_every_submodule_loads_no_dataclasses_or_inspect(preloaded):
