@@ -35,7 +35,7 @@ _EXPORTS = {
         "NonUnitConstantTermError",
     ),
     "identities": ("IDENTITY_NAMES", "Counterexample", "GridReport", "verify", "verify_all"),
-    "oeis": ("BFile", "CacheConfig", "bfile_name", "default_config", "load", "parse_bfile"),
+    "oeis": ("BFile", "bfile_name", "load", "parse_bfile"),
     "oracles": ("delannoy_paths", "lattice_points", "weak_compositions_with_zeros"),
     "registry": (
         "SequenceEntry",

@@ -15,19 +15,17 @@ type, as ``perfbench/worker.py`` does, still tells them apart.
 
 from __future__ import annotations
 
-from typing import Any
-
 
 class Record:
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, Any] = {}
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
         name = type(self).__name__
         if len(args) > len(self._fields):
             raise TypeError(f"{name} takes {len(self._fields)} fields, {len(args)} given")
@@ -41,7 +39,7 @@ class Record:
             raise TypeError(f"{name} is missing field(s) {', '.join(missing)}")
         vars(self).update((f, values[f] if f in values else self._defaults[f]) for f in self._fields)
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
 
     def __delattr__(self, name: str) -> None:

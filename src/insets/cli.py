@@ -25,14 +25,11 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections.abc import Iterable, Sequence
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import inset, trapeze_table
-from .errors import CapExceededError, FixtureError
-
-if TYPE_CHECKING:
-    import argparse
+from .errors import FixtureError
 
 WORD_LISTING_GUARD = 10_000
 # `series k 300 300 512 --check`, the work at the budget, took 0.05 s and
@@ -233,13 +230,12 @@ def _cmd_seq(args: SimpleNamespace) -> int:
 def _cmd_crosscheck(args: SimpleNamespace) -> int:
     from . import oeis, registry
 
-    cfg = oeis.default_config(fixture_dir=args.fixtures)
     entries = (
         registry.list_entries()
         if args.key == "all"
         else [registry.get_entry(args.key)]
     )
-    reports = [registry.validate(e.key, oeis.load(e.fixture_id, cfg)) for e in entries]
+    reports = [registry.validate(e.key, oeis.load(e.fixture_id, args.fixtures)) for e in entries]
     header = ("key", "fixture", "status", "offset", "agreed")
     rows = [(r.key, r.fixture_id, r.status, r.offset, r.agreed) for r in reports]
     lines = (f"{r.status} offset={r.offset}" for r in reports)
@@ -358,7 +354,7 @@ def _quick_parse(argv: Sequence[str]) -> SimpleNamespace | None:
     return args
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     import argparse
 
     def typed(convert):
@@ -404,7 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except (CapExceededError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

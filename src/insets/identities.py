@@ -87,9 +87,9 @@ forms make, and the report carries the first that fails, in their order.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from itertools import product, zip_longest
 from operator import add, mul, sub
-from typing import Callable, Iterator, Optional
 
 from ._record import Record
 from .core import inset_row
@@ -166,7 +166,7 @@ class _Table(dict):
         return product(range(self.m_max + 1), range(self.n_max + 1))
 
 
-_Found = Optional[tuple[tuple[int, ...], int, int]]  # None or (params, lhs, rhs)
+_Found = tuple[tuple[int, ...], int, int] | None  # None or (params, lhs, rhs)
 # table -> one _Found for each (m, n) of table.grid(), in that order
 _Checker = Callable[[_Table], Iterator[_Found]]
 

@@ -4,7 +4,10 @@ A b-file is the plain-text OEIS dump format: one "index value" pair per
 line, '#' comments and blank lines allowed, indices strictly increasing and
 contiguous.  The package ships a committed fixture for every catalogued
 sequence, regenerated by ``tools/make_fixtures.py``; this module only reads
-them, from one fixture directory, and never fetches or writes a file.
+them and never fetches or writes a file.  ``load(fixture_id, fixture_dir)``
+reads one fixture from ``fixture_dir``, else from the directory the
+INSETS_FIXTURES environment variable names, else from the packaged
+fixtures.
 """
 
 from __future__ import annotations
@@ -16,14 +19,7 @@ from pathlib import Path
 from ._record import Record
 from .errors import BFileFormatError, FixtureNotFoundError
 
-__all__ = [
-    "BFile",
-    "CacheConfig",
-    "bfile_name",
-    "default_config",
-    "load",
-    "parse_bfile",
-]
+__all__ = ["BFile", "bfile_name", "load", "parse_bfile"]
 
 ENV_FIXTURE_DIR = "INSETS_FIXTURES"
 
@@ -47,17 +43,6 @@ class BFile(Record):
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-class CacheConfig(Record):
-    fixture_dir: Path = _FIXTURE_DIR
-
-
-def default_config(fixture_dir: str | Path | None = None) -> CacheConfig:
-    """Config for ``fixture_dir``, else INSETS_FIXTURES, else the packaged fixtures."""
-    if fixture_dir is None:
-        fixture_dir = os.environ.get(ENV_FIXTURE_DIR)
-    return CacheConfig(fixture_dir=Path(fixture_dir) if fixture_dir else _FIXTURE_DIR)
 
 
 def bfile_name(fixture_id: str) -> str:
@@ -91,14 +76,23 @@ def parse_bfile(text: str, oeis_id: str) -> BFile:
     return BFile(oeis_id=oeis_id, entries=tuple(entries))
 
 
-def load(fixture_id: str, cfg: CacheConfig | None = None) -> BFile:
-    """Parsed fixture file from the configured fixture directory.
+def load(fixture_id: str, fixture_dir: str | Path | None = None) -> BFile:
+    """Parsed fixture file for ``fixture_id``.
 
-    Raises FixtureNotFoundError when the directory holds no file for
-    ``fixture_id``, and BFileFormatError when the file is malformed.
+    The directory is ``fixture_dir``, else INSETS_FIXTURES, else the packaged
+    fixtures; an empty string, given or in the environment, means the
+    packaged fixtures.  Raises FixtureNotFoundError when the directory holds
+    no file for ``fixture_id``, and BFileFormatError when the file is not
+    UTF-8 or is malformed.
     """
-    cfg = cfg or default_config()
-    path = Path(cfg.fixture_dir) / bfile_name(fixture_id)
+    if fixture_dir is None:
+        fixture_dir = os.environ.get(ENV_FIXTURE_DIR)
+    directory = Path(fixture_dir) if fixture_dir else _FIXTURE_DIR
+    path = directory / bfile_name(fixture_id)
     if not path.is_file():
-        raise FixtureNotFoundError(f"no fixture for {fixture_id} in {cfg.fixture_dir}")
-    return parse_bfile(path.read_text(encoding="utf-8"), fixture_id)
+        raise FixtureNotFoundError(f"no fixture for {fixture_id} in {directory}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BFileFormatError(f"{fixture_id}: not UTF-8 at byte {exc.start}") from None
+    return parse_bfile(text, fixture_id)

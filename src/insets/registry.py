@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Iterator, Optional
+from collections.abc import Callable, Iterator
 
 from ._record import Record
 from .core import binomial, inset
@@ -75,7 +75,7 @@ class ValidationReport(Record):
     status: str  # "validated" | "provisional"
     offset: int
     agreed: int
-    mismatch: Optional[tuple[int, int, int]] = None  # (gen index, gen value, fixture value)
+    mismatch: tuple[int, int, int] | None = None  # (gen index, gen value, fixture value)
 
     @property
     def validated(self) -> bool:
@@ -382,13 +382,13 @@ def _build_catalog() -> list[SequenceEntry]:
         SequenceEntry(
             "schroeder_peaks",
             "A002002",
-            "inset(m,m+1,m+1): peaks in all Schroeder paths",
+            "inset(m,m+1,m+1): peaks in all Schroeder paths of semilength m+1",
             _recurrence("schroeder_peaks", lambda m: inset(m, m + 1, m + 1)),
         ),
         SequenceEntry(
             "partial_self_maps",
             "A002003",
-            "inset(m,m+1,m): order-preserving partial self-maps of an m-set",
+            "inset(m,m+1,m): order-preserving partial self-maps of an (m+1)-set",
             _recurrence("partial_self_maps", lambda m: inset(m, m + 1, m)),
         ),
         SequenceEntry(

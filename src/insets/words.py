@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import CapExceededError
 

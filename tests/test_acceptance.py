@@ -183,9 +183,8 @@ def test_criterion_7_oracles():
 
 def test_criterion_8_sequence_registry():
     def check():
-        cfg = oeis.default_config()
         for entry in registry.list_entries():
-            fixture = oeis.load(entry.fixture_id, cfg)
+            fixture = oeis.load(entry.fixture_id)
             report = registry.validate(entry.key, fixture)
             assert report.validated, (entry.key, report)
             assert report.agreed >= 15

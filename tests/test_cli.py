@@ -233,6 +233,23 @@ def test_crosscheck_missing_fixture_dir(tmp_path):
     assert result.returncode == 3
 
 
+def test_crosscheck_fixture_dir_from_env_and_empty_override(tmp_path):
+    env = {**os.environ, "INSETS_FIXTURES": str(tmp_path)}
+    result = run_cli("crosscheck", "delannoy", env=env)
+    assert result.returncode == 3
+    assert result.stderr == f"error: no fixture for A008288 in {tmp_path}\n"
+    # an empty --fixtures is not absent: the packaged fixtures, not the env's
+    result = run_cli("crosscheck", "delannoy", "--fixtures", "", env=env)
+    assert (result.returncode, result.stdout) == (0, "validated offset=0\n")
+
+
+def test_crosscheck_fixture_not_utf8_is_a_fixture_error(tmp_path):
+    (tmp_path / "b000045.txt").write_bytes(b"0 1\n1 \xff\xfe\n")
+    result = run_cli("crosscheck", "fibonacci", "--fixtures", str(tmp_path))
+    assert result.returncode == 3
+    assert result.stderr == "error: A000045: not UTF-8 at byte 6\n"
+
+
 def test_crosscheck_mismatching_fixture(tmp_path):
     bad = "\n".join(f"{i} {2 * i + 2}" for i in range(30))  # off by one everywhere
     (tmp_path / "b005408.txt").write_text(bad, encoding="utf-8")
@@ -451,22 +468,24 @@ def preloaded():
     return set(result.stdout.split())
 
 
-@pytest.mark.parametrize(
-    "argv,own,absent",
-    [
-        (("compute", "1", "3", "2"), "core", _NOT_FOR_VALUES),
-        (("table", "1", "2"), "core", _NOT_FOR_VALUES),
-        (("words", "0", "3", "2"), "words", _NOT_FOR_VALUES),
-        (("series", "m", "3", "2", "10", "--check"), "series", _NOT_FOR_VALUES),
-        (("poly", "1", "4"), "chebyshev", _NOT_FOR_VALUES),
-        (("verify", "all", "2", "2"), "identities",
-         {"insets.registry", "insets.oeis", "urllib.request"}),
-        (("seq", "fibonacci", "4"), "registry",
-         {"urllib.request", "insets.identities", "insets.series"}),
-        (("crosscheck", "delannoy"), "registry",
-         {"urllib.request", "insets.identities", "insets.series"}),
-    ],
-)
+# one well-formed call of each subcommand, the module it runs, and modules it
+# must not load
+_CALLS = [
+    (("compute", "1", "3", "2"), "core", _NOT_FOR_VALUES),
+    (("table", "1", "2"), "core", _NOT_FOR_VALUES),
+    (("words", "0", "3", "2"), "words", _NOT_FOR_VALUES),
+    (("series", "m", "3", "2", "10", "--check"), "series", _NOT_FOR_VALUES),
+    (("poly", "1", "4"), "chebyshev", _NOT_FOR_VALUES),
+    (("verify", "all", "2", "2"), "identities",
+     {"insets.registry", "insets.oeis", "urllib.request"}),
+    (("seq", "fibonacci", "4"), "registry",
+     {"urllib.request", "insets.identities", "insets.series"}),
+    (("crosscheck", "delannoy"), "registry",
+     {"urllib.request", "insets.identities", "insets.series"}),
+]
+
+
+@pytest.mark.parametrize("argv,own,absent", _CALLS)
 def test_subcommand_imports_only_its_modules(preloaded, argv, own, absent):
     # diagnose a failure with: python -X importtime -m insets <argv>
     for fmt in ("plain", "json", "csv"):
@@ -480,6 +499,32 @@ def test_subcommand_imports_only_its_modules(preloaded, argv, own, absent):
         assert sorted(absent.intersection(loaded)) == [], fmt
         assert sorted((_HEAVY - {fmt}).intersection(loaded) - preloaded) == [], fmt
         assert sorted(_ARGPARSE.intersection(loaded) - preloaded) == [], fmt
+
+
+def _without_site(*args):
+    """``python -S *args`` with this insets on the path: no site .pth file
+    preloads anything, so every module the program imports shows."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-S", *args], capture_output=True, text=True, check=True, env=env
+    ).stdout
+
+
+def test_import_cli_without_site_loads_no_typing():
+    loaded = _without_site("-c", "import sys, insets.cli; print(*sys.modules)").split()
+    assert "insets.cli" in loaded
+    assert "typing" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv,own", [call[:2] for call in _CALLS], ids=[call[0][0] for call in _CALLS]
+)
+def test_subcommand_without_site_loads_no_typing(argv, own):
+    for fmt in ("plain", "json", "csv"):
+        code, *loaded = _without_site("-c", _FOOTPRINT, *argv, "--format", fmt).splitlines()
+        assert code == "0"
+        assert f"insets.{own}" in loaded
+        assert "typing" not in loaded, fmt
 
 
 @pytest.mark.parametrize(

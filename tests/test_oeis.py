@@ -5,15 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from insets import oeis
 from insets.errors import BFileFormatError, FixtureNotFoundError
-from insets.oeis import (
-    BFile,
-    CacheConfig,
-    bfile_name,
-    default_config,
-    load,
-    parse_bfile,
-)
+from insets.oeis import BFile, bfile_name, load, parse_bfile
+
+PACKAGED_FIXTURES = Path(oeis.__file__).resolve().parent / "fixtures"
 
 
 def test_parse_basic():
@@ -60,15 +56,15 @@ def test_bfile_name():
     assert bfile_name("braun_hough_cells") == "braun_hough_cells.txt"
 
 
-def test_load_from_packaged_fixtures():
-    parsed = load("A008288", default_config())
+def test_load_from_packaged_fixtures(monkeypatch):
+    monkeypatch.delenv("INSETS_FIXTURES", raising=False)
+    parsed = load("A008288")
     assert parsed.values[:6] == [1, 1, 1, 1, 3, 1]
 
 
 def test_load_missing_offline(tmp_path):
-    cfg = CacheConfig(fixture_dir=tmp_path)
     with pytest.raises(FixtureNotFoundError):
-        load("A008288", cfg)
+        load("A008288", tmp_path)
 
 
 def test_missing_fixture_opens_no_connection(tmp_path, monkeypatch):
@@ -78,32 +74,63 @@ def test_missing_fixture_opens_no_connection(tmp_path, monkeypatch):
     for name in ("socket", "create_connection", "getaddrinfo"):
         monkeypatch.setattr(socket, name, refuse)
     with pytest.raises(FixtureNotFoundError, match="no fixture for A001850 in"):
-        load("A001850", CacheConfig(fixture_dir=tmp_path))
+        load("A001850", tmp_path)
     assert list(tmp_path.iterdir()) == []  # nothing stored either
 
 
 def test_local_ids_are_never_fetched(tmp_path):
-    cfg = CacheConfig(fixture_dir=tmp_path)
     with pytest.raises(FixtureNotFoundError):
-        load("braun_hough_cells", cfg)
+        load("braun_hough_cells", tmp_path)
+
+
+def _write_fixture(directory, text="0 7\n1 8\n"):
+    directory.mkdir()
+    (directory / "b008288.txt").write_text(text, encoding="utf-8")
+    return directory
 
 
 def test_env_overrides(tmp_path, monkeypatch):
-    monkeypatch.setenv("INSETS_FIXTURES", str(tmp_path))
-    cfg = default_config()
-    assert cfg.fixture_dir == tmp_path
+    env = _write_fixture(tmp_path / "env")
+    monkeypatch.setenv("INSETS_FIXTURES", str(env))
+    assert load("A008288").values == [7, 8]
+    with pytest.raises(FixtureNotFoundError) as missing:
+        load("A001850")
+    assert str(missing.value) == f"no fixture for A001850 in {env}"
 
 
-def test_all_packaged_fixtures_parse():
-    cfg = default_config()
-    files = sorted(cfg.fixture_dir.glob("*.txt"))
+def test_argument_takes_precedence_over_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("INSETS_FIXTURES", str(_write_fixture(tmp_path / "env")))
+    given = _write_fixture(tmp_path / "given", "0 5\n1 6\n")
+    assert load("A008288", given).values == [5, 6]
+    assert load("A008288", str(given)).values == [5, 6]
+
+
+def test_empty_strings_mean_the_packaged_fixtures(tmp_path, monkeypatch):
+    packaged = (PACKAGED_FIXTURES / "b008288.txt").read_text(encoding="utf-8")
+    expected = parse_bfile(packaged, "A008288")
+    # an empty argument is not None: the environment is not consulted
+    monkeypatch.setenv("INSETS_FIXTURES", str(_write_fixture(tmp_path / "env")))
+    assert load("A008288", "") == expected
+    monkeypatch.setenv("INSETS_FIXTURES", "")
+    assert load("A008288") == expected
+
+
+def test_all_packaged_fixtures_parse(monkeypatch):
+    monkeypatch.delenv("INSETS_FIXTURES", raising=False)
+    files = sorted(PACKAGED_FIXTURES.glob("*.txt"))
     assert files, "no packaged fixtures found"
     for path in files:
         stem = path.stem
         fixture_id = f"A{stem[1:]}" if stem.startswith("b") and stem[1:].isdigit() else stem
-        parsed = load(fixture_id, cfg)
+        parsed = load(fixture_id)
         assert isinstance(parsed, BFile)
         assert len(parsed) >= 15
+
+
+def test_fixture_not_utf8_is_a_format_error(tmp_path):
+    (tmp_path / "b000045.txt").write_bytes(b"0 1\n1 \xff\xfe\n")
+    with pytest.raises(BFileFormatError, match=r"^A000045: not UTF-8 at byte 6$"):
+        load("A000045", tmp_path)
 
 
 def test_make_fixtures_regenerates_the_packaged_files(tmp_path):

@@ -1,16 +1,11 @@
 """The public record types: field order and defaults, properties, that no
 field can be assigned, and that a record is a value but not a tuple."""
 
-from pathlib import Path
-
 import pytest
 
-from insets import oeis
 from insets.identities import Counterexample, GridReport
-from insets.oeis import BFile, CacheConfig, default_config
+from insets.oeis import BFile
 from insets.registry import SequenceEntry, SequenceSlice, ValidationReport
-
-PACKAGED_FIXTURES = Path(oeis.__file__).resolve().parent / "fixtures"
 
 # each record with its required fields, then its defaulted fields and their
 # defaults, all in signature order
@@ -29,11 +24,6 @@ RECORDS = [
         {"mismatch": None},
     ),
     (BFile, ("oeis_id", "entries"), {}),
-    (
-        CacheConfig,
-        (),
-        {"fixture_dir": PACKAGED_FIXTURES},
-    ),
 ]
 IDS = [record.__name__ for record, _, _ in RECORDS]
 
@@ -109,11 +99,3 @@ def test_records_of_different_types_differ():
     with pytest.raises(TypeError):
         hash(SequenceSlice("k", 0, [1]))  # a list field makes a record unhashable
 
-
-def test_cache_config_fixture_dir(monkeypatch, tmp_path):
-    assert CacheConfig().fixture_dir == PACKAGED_FIXTURES
-    assert (PACKAGED_FIXTURES / "b008288.txt").is_file()
-    monkeypatch.delenv(oeis.ENV_FIXTURE_DIR, raising=False)
-    assert default_config().fixture_dir == PACKAGED_FIXTURES
-    monkeypatch.setenv(oeis.ENV_FIXTURE_DIR, str(tmp_path))
-    assert default_config().fixture_dir == tmp_path

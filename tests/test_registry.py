@@ -170,19 +170,17 @@ def test_braun_hough_support():
 
 
 def test_all_entries_validate_against_fixtures():
-    cfg = oeis.default_config()
     for entry in list_entries():
-        report = validate(entry.key, oeis.load(entry.fixture_id, cfg))
+        report = validate(entry.key, oeis.load(entry.fixture_id))
         assert report.validated, (entry.key, report)
         assert -4 <= report.offset <= 4
         assert report.agreed >= 15
 
 
 def test_expected_nonzero_offsets():
-    cfg = oeis.default_config()
-    report = validate("squares_convolution", oeis.load("A033455", cfg))
+    report = validate("squares_convolution", oeis.load("A033455"))
     assert report.validated and report.offset != 0
-    report = validate("delannoy", oeis.load("A008288", cfg))
+    report = validate("delannoy", oeis.load("A008288"))
     assert report.validated and report.offset == 0
 
 
@@ -208,9 +206,8 @@ def test_validate_reports_mismatch():
 def test_whole_fixtures_agree():
     # validate compares at most 40 terms; here every fixture term at or past
     # the reported offset is compared
-    cfg = oeis.default_config()
     for entry in list_entries():
-        fixture = oeis.load(entry.fixture_id, cfg)
+        fixture = oeis.load(entry.fixture_id)
         off = validate(entry.key, fixture).offset
         fvals = fixture.values
         gvals = generate(entry.key, len(fvals) - off).values
@@ -394,3 +391,47 @@ def test_guesser_certifies_each_committed_row(key):
                 planted = [list(q) for q in rows]
                 planted[j][e] += delta
                 assert not _holds(planted, terms, start), (j, e, delta)
+
+
+# Brute-force counts of two configurations the catalog describes; like the
+# fixtures' routes, they use nothing from insets.
+
+
+def _partial_self_maps(size):
+    """Order-preserving partial maps of {0, ..., size - 1} into itself."""
+    count = 0
+    for images in itertools.product([None, *range(size)], repeat=size):
+        defined = [image for image in images if image is not None]
+        count += defined == sorted(defined)
+    return count
+
+
+def _schroeder_peaks(semilength):
+    """Peaks (U then D) over all Schroeder paths from (0, 0) to
+    (2 * semilength, 0) with steps U = (1, 1), D = (1, -1) and H = (2, 0)
+    that never go below the axis."""
+
+    def paths(left, height):
+        if left == 0:
+            yield ""
+        for step, rise, run in (("U", 1, 1), ("D", -1, 1), ("H", 0, 2)):
+            if 0 <= height + rise <= left - run:
+                yield from (step + rest for rest in paths(left - run, height + rise))
+
+    return sum(path.count("UD") for path in paths(2 * semilength, 0))
+
+
+@pytest.mark.parametrize(
+    "key,count,described",
+    [
+        ("partial_self_maps", _partial_self_maps, "partial self-maps of an (m+1)-set"),
+        ("schroeder_peaks", _schroeder_peaks, "Schroeder paths of semilength m+1"),
+    ],
+    ids=["partial_self_maps", "schroeder_peaks"],
+)
+def test_description_states_the_counted_size(key, count, described):
+    # term m counts the configurations of size m + 1, as the description says
+    entry = get_entry(key)
+    assert entry.description.endswith(described)
+    terms = itertools.islice(entry.terms(entry.start), 5)
+    assert list(terms) == [count(m + 1) for m in range(entry.start, entry.start + 5)]
