@@ -2,12 +2,15 @@
 
 Each entry is a stream of terms: ``entry.terms(i)`` returns a fresh
 iterator over the terms from linear index ``i`` on, and nothing is cached
-between calls, so ``next(entry.terms(i))`` is term ``i``.  Most entries
-read one inset cell per index, a few read two-dimensional arrays, and six
-walk the recurrence row ``_RECURRENCES`` holds for them from d seed terms,
-on the P-recursive walker ``_recurrence``, with one ``exact_div`` a term.
-Each also names the fixture it is validated against, and optionally carries
-a closed form that must agree with the inset route term by term.
+between calls, so ``next(entry.terms(i))`` is term ``i``.  An entry names
+its inset cells (m, n, k) and one of three readers makes its terms: ``_line``
+reads one cell per index, ``_rows`` (and ``_antidiagonals``, its square-array
+case) reads a two-dimensional array row by row, and these two are the only
+readers that call ``inset``.  The third, ``_recurrence``, serves the six
+entries that walk the recurrence row ``_RECURRENCES`` holds for them from d
+seed terms, with one ``exact_div`` a term.  Each entry also names the fixture
+it is validated against, and optionally carries a closed form that must
+agree with the inset route term by term.
 
 Alignment against fixtures is discovered, not transcribed: several named
 sequences are known to sit at a shifted index relative to their customary
@@ -18,7 +21,8 @@ Two-dimensional families (Delannoy square, asymmetric Delannoy square,
 Sulanke grid, the two-boundary Pascal triangle, cell-count table) are read
 by antidiagonals resp. rows; the committed fixtures use the same reading.
 A stream walks the cells of its array in order, so no index is decoded
-back into a cell.
+back into a cell.  Antidiagonal d of the Sulanke grid is one whole inset
+row, the cells (d // 2, d - d // 2, j) for j = 0..d.
 """
 
 from __future__ import annotations
@@ -82,29 +86,11 @@ class ValidationReport(Record):
         return self.status == "validated"
 
 
-def sulanke(n: int, k: int) -> int:
-    """Parity-split grid value: inset(h, h, k) with h = (n+k)/2 for even n+k,
-    inset((n+k-1)/2, (n+k+1)/2, k) for odd n+k."""
-    if n < 0 or k < 0:
-        raise ValueError("grid cell must be nonnegative")
-    if (n + k) % 2 == 0:
-        h = (n + k) // 2
-        return inset(h, h, k)
-    return inset((n + k - 1) // 2, (n + k + 1) // 2, k)
-
-
 def fibonacci_by_insets(m: int) -> int:
     """The sum over i <= floor((m+1)/2) of inset(m-i, 1, i); equals F(m+3)."""
     if m < 0:
         raise ValueError("index must be nonnegative")
     return sum(inset(m - i, 1, i) for i in range((m + 1) // 2 + 1))
-
-
-def braun_hough_cells(d: int, n: int) -> int:
-    """Number of d-dimensional cells in the n-th complex: inset(2, n-d+2, 3d-2n)."""
-    if n - d + 2 < 0 or 3 * d - 2 * n < 0:
-        return 0
-    return inset(2, n - d + 2, 3 * d - 2 * n)
 
 
 def _line(cell: Callable[[int], tuple[int, int, int]]) -> Terms:
@@ -174,26 +160,26 @@ def _recurrence(key: str, value: Callable[[int], int]) -> Terms:
     return terms
 
 
-def _rows(row: Callable[[int], range], value: Callable[[int, int], int]) -> Terms:
-    """The terms value(r, c) for c in row(r), rows r = 0, 1, ... in turn.
+def _rows(row: Callable[[int], range], cell: Callable[[int, int], tuple[int, int, int]]) -> Terms:
+    """The terms inset(*cell(r, c)) for c in row(r), rows r = 0, 1, ... in turn.
 
-    Starting at index i skips the first i cells without computing them.
+    Starting at index i skips the first i cells without calling ``inset`` on them.
     """
 
     def terms(start: int) -> Iterator[int]:
-        cells = ((r, c) for r in itertools.count() for c in row(r))
-        return itertools.starmap(value, itertools.islice(cells, start, None))
+        cells = (cell(r, c) for r in itertools.count() for c in row(r))
+        return itertools.starmap(inset, itertools.islice(cells, start, None))
 
     return terms
 
 
-def _antidiagonals(value: Callable[[int, int], int]) -> Terms:
-    """A square array value(d, j), j = 0..d, read by antidiagonals d = 0, 1, ..."""
-    return _rows(lambda d: range(d + 1), value)
+def _antidiagonals(cell: Callable[[int, int], tuple[int, int, int]]) -> Terms:
+    """A square array inset(*cell(d, j)), j = 0..d, read by antidiagonals d = 0, 1, ..."""
+    return _rows(lambda d: range(d + 1), cell)
 
 
 def _build_catalog() -> list[SequenceEntry]:
-    sulanke_grid = _antidiagonals(lambda d, j: sulanke(d - j, j))
+    sulanke_grid = _antidiagonals(lambda d, j: (d // 2, d - d // 2, j))
     entries = [
         SequenceEntry(
             "odd_numbers",
@@ -277,7 +263,7 @@ def _build_catalog() -> list[SequenceEntry]:
             "delannoy",
             "A008288",
             "Delannoy square D(m,n) = inset(m,n,n), read by antidiagonals",
-            _antidiagonals(lambda d, j: inset(j, d - j, d - j)),
+            _antidiagonals(lambda d, j: (j, d - j, d - j)),
         ),
         SequenceEntry(
             "central_delannoy",
@@ -289,7 +275,7 @@ def _build_catalog() -> list[SequenceEntry]:
             "asymmetric_delannoy",
             "A049600",
             "asymmetric Delannoy square inset(m,n,m), read by antidiagonals",
-            _antidiagonals(lambda d, j: inset(j, d - j, j)),
+            _antidiagonals(lambda d, j: (j, d - j, j)),
         ),
         SequenceEntry(
             "catalan_scaled",
@@ -331,16 +317,13 @@ def _build_catalog() -> list[SequenceEntry]:
 
     coordination_ids = {3: "A005899", 4: "A008412", 5: "A008413"}
     for dim, fixture in coordination_ids.items():
-
-        def coordination(start: int, d: int = dim) -> Iterator[int]:
-            return (1 if m == 0 else inset(m - 1, d, d - 1) for m in itertools.count(start))
-
         entries.append(
             SequenceEntry(
                 f"coordination_Z{dim}",
                 fixture,
                 f"inset(m-1,{dim},{dim - 1}): lattice points with |x|_1 = m in Z^{dim}",
-                coordination,
+                # term 0 is the ball of radius 0, inset(0, d, d) = 1
+                _line(lambda m, d=dim: (m - 1, d, d - 1) if m else (0, d, d)),
             )
         )
 
@@ -349,7 +332,7 @@ def _build_catalog() -> list[SequenceEntry]:
             "lucas_triangle",
             "A029653",
             "rows inset(m,1,k), k = 0..m+1: the (2,1) Pascal triangle",
-            _rows(lambda m: range(m + 2), lambda m, k: inset(m, 1, k)),
+            _rows(lambda m: range(m + 2), lambda m, k: (m, 1, k)),
         ),
         SequenceEntry(
             "weak_comp_2zeros",
@@ -361,7 +344,8 @@ def _build_catalog() -> list[SequenceEntry]:
         SequenceEntry(
             "turan_triangles",
             "A000297",
-            "inset(m+1,2,m): triangles in the complete multipartite graph with parts (2,2,1,...)",
+            "inset(m+1,2,m): triangles in the complete multipartite graph"
+            " K(2,2,1,...,1) with m+1 parts of size 1",
             _line(lambda m: (m + 1, 2, m)),
             closed_form=lambda m: binomial(m + 5, 3) - 2 * (m + 3),
         ),
@@ -375,7 +359,7 @@ def _build_catalog() -> list[SequenceEntry]:
         SequenceEntry(
             "ccc_cliques",
             "A167667",
-            "inset(n,n,1) = 3n 2^(n-1): maximum cliques in cube-connected cycles",
+            "inset(n,n,1) = 3n 2^(n-1): maximum cliques in cube-connected cycles CCC(n), n >= 4",
             _line(lambda n: (n, n, 1)),
             closed_form=lambda n: exact_div(3 * n * (1 << n), 2),
         ),
@@ -438,7 +422,7 @@ def _build_catalog() -> list[SequenceEntry]:
             "inset(2,n-d+2,3d-2n): d-cell counts of the Braun-Hough complexes, valid cells by rows",
             _rows(
                 lambda n: range((2 * n + 2) // 3, (3 * n + 4) // 4 + 1),
-                lambda n, d: braun_hough_cells(d, n),
+                lambda n, d: (2, n - d + 2, 3 * d - 2 * n),
             ),
         ),
     ]

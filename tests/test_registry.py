@@ -5,18 +5,16 @@ from fractions import Fraction
 import pytest
 
 from insets import oeis, registry
-from insets.core import inset
+from insets.core import inset, inset_row
 from insets.errors import FixtureError
 from insets.oeis import BFile
 from insets.registry import (
     _RECURRENCES,
-    braun_hough_cells,
     exact_div,
     fibonacci_by_insets,
     generate,
     get_entry,
     list_entries,
-    sulanke,
     validate,
 )
 from insets.words import count_bruteforce
@@ -137,15 +135,31 @@ def test_fibonacci_walk_matches_inset_sums():
     assert list(seeded) == [fibonacci_by_insets(m) for m in range(1996, 2001)]
 
 
-def test_sulanke_branches_cover_grid_and_count_words():
-    for n in range(8):
-        for k in range(8):
-            value = sulanke(n, k)
-            if (n + k) % 2 == 0:
-                h = (n + k) // 2
-                assert value == count_bruteforce(h, h, k)
-            else:
-                assert value == count_bruteforce((n + k - 1) // 2, (n + k + 1) // 2, k)
+def _sulanke(n, k):
+    """The parity-split grid cell: (h, h, k) with h = (n+k)/2 for even n+k,
+    ((n+k-1)/2, (n+k+1)/2, k) for odd n+k."""
+    if (n + k) % 2 == 0:
+        h = (n + k) // 2
+        return h, h, k
+    return (n + k - 1) // 2, (n + k + 1) // 2, k
+
+
+def test_sulanke_grid_counts_words():
+    # every cell of antidiagonals d <= 14, both parities, against word counts
+    terms = iter(generate("sulanke_even", 15 * 16 // 2).values)
+    for d in range(15):
+        for j in range(d + 1):
+            assert next(terms) == count_bruteforce(*_sulanke(d - j, j)), (d, j)
+
+
+def test_array_rows_match_inset_rows():
+    # per-cell inset calls against the k-walk of inset_row, one whole row at a time
+    sulanke = get_entry("sulanke_even").terms(0)
+    for d in range(90):
+        assert list(itertools.islice(sulanke, d + 1)) == inset_row(d // 2, d - d // 2, 0, d + 1), d
+    lucas = get_entry("lucas_triangle").terms(0)
+    for m in range(58):
+        assert list(itertools.islice(lucas, m + 2)) == inset_row(m, 1, 0, m + 2), m
 
 
 def test_lucas_triangle_rows():
@@ -158,15 +172,24 @@ def test_lucas_triangle_rows():
             assert row[k] == prev[k - 1] + (prev[k] if k < len(prev) else 0)
 
 
-def test_braun_hough_support():
-    for d in range(10):
-        for n in range(10):
-            value = braun_hough_cells(d, n)
-            in_support = (
-                n - d + 2 >= 0
-                and 0 <= 3 * d - 2 * n <= (n - d + 2) + 2
-            )
-            assert (value > 0) == in_support, (d, n)
+def test_braun_hough_cells_lie_in_the_support(monkeypatch):
+    # every cell (2, n-d+2, 3d-2n) the stream reads in rows n < 60 is one where
+    # the complexes have d-cells, and its term counts at least one
+    read = []
+
+    def recording(m, n, k):
+        read.append((m, n, k))
+        return inset(m, n, k)
+
+    monkeypatch.setattr(registry, "inset", recording)
+    count = next(i for i in itertools.count() if _cell_table_cell(i)[0] == 60)
+    terms = generate("braun_hough_cells", count).values
+    assert len(read) == count
+    for i, (cell, term) in enumerate(zip(read, terms)):
+        n, d = _cell_table_cell(i)
+        assert cell == (2, n - d + 2, 3 * d - 2 * n), (n, d)
+        assert n - d + 2 >= 0 and 0 <= 3 * d - 2 * n <= n - d + 4, (n, d)
+        assert term > 0, (n, d)
 
 
 def test_all_entries_validate_against_fixtures():
@@ -247,11 +270,11 @@ def _cell_table_cell(i):
 _DECODED = {
     "delannoy": (2000, lambda i: (lambda d, j: inset(j, d - j, d - j))(*_antidiagonal(i))),
     "asymmetric_delannoy": (2000, lambda i: (lambda d, j: inset(j, d - j, j))(*_antidiagonal(i))),
-    "sulanke_even": (2000, lambda i: (lambda d, j: sulanke(d - j, j))(*_antidiagonal(i))),
-    "sulanke_odd": (2000, lambda i: (lambda d, j: sulanke(d - j, j))(*_antidiagonal(i))),
+    "sulanke_even": (2000, lambda i: (lambda d, j: inset(*_sulanke(d - j, j)))(*_antidiagonal(i))),
+    "sulanke_odd": (2000, lambda i: (lambda d, j: inset(*_sulanke(d - j, j)))(*_antidiagonal(i))),
     "lucas_triangle": (300, lambda i: (lambda m, k: inset(m, 1, k))(*_lucas_cell(i))),
     "braun_hough_cells": (
-        300, lambda i: (lambda n, d: braun_hough_cells(d, n))(*_cell_table_cell(i))
+        300, lambda i: (lambda n, d: inset(2, n - d + 2, 3 * d - 2 * n))(*_cell_table_cell(i))
     ),
 }
 
@@ -393,7 +416,7 @@ def test_guesser_certifies_each_committed_row(key):
                 assert not _holds(planted, terms, start), (j, e, delta)
 
 
-# Brute-force counts of two configurations the catalog describes; like the
+# Brute-force counts of configurations the catalog describes; like the
 # fixtures' routes, they use nothing from insets.
 
 
@@ -421,13 +444,42 @@ def _schroeder_peaks(semilength):
     return sum(path.count("UD") for path in paths(2 * semilength, 0))
 
 
+def _turan_triangles(singletons):
+    """Triangles in the complete multipartite graph with two parts of size 2
+    and ``singletons`` parts of size 1: vertex triples from three parts."""
+    part = [0, 0, 1, 1, *range(2, 2 + singletons)]
+    triples = itertools.combinations(part, 3)
+    return sum(len(set(triple)) == 3 for triple in triples)
+
+
+def _ccc_maximum_cliques(n):
+    """Cliques of the largest size in the cube-connected cycles graph CCC(n),
+    whose vertex (x, i), x < 2^n, i < n, is joined to (x, i +- 1 mod n) and
+    (x xor 2^i, i); cliques are grown one vertex at a time."""
+
+    def neighbours(x, i):
+        return {(x, (i + 1) % n), (x, (i - 1) % n), (x ^ 1 << i, i)}
+
+    cliques = {frozenset([(x, i)]) for x in range(1 << n) for i in range(n)}
+    while True:
+        larger = {
+            clique | {v}
+            for clique in cliques
+            for v in set.intersection(*[neighbours(*u) for u in clique])
+        }
+        if not larger:
+            return len(cliques)
+        cliques = larger
+
+
 @pytest.mark.parametrize(
     "key,count,described",
     [
         ("partial_self_maps", _partial_self_maps, "partial self-maps of an (m+1)-set"),
         ("schroeder_peaks", _schroeder_peaks, "Schroeder paths of semilength m+1"),
+        ("turan_triangles", _turan_triangles, "with m+1 parts of size 1"),
     ],
-    ids=["partial_self_maps", "schroeder_peaks"],
+    ids=["partial_self_maps", "schroeder_peaks", "turan_triangles"],
 )
 def test_description_states_the_counted_size(key, count, described):
     # term m counts the configurations of size m + 1, as the description says
@@ -435,3 +487,13 @@ def test_description_states_the_counted_size(key, count, described):
     assert entry.description.endswith(described)
     terms = itertools.islice(entry.terms(entry.start), 5)
     assert list(terms) == [count(m + 1) for m in range(entry.start, entry.start + 5)]
+
+
+def test_ccc_cliques_description_holds_from_n_4():
+    # CCC(n) is triangle-free for n >= 4, so its maximum cliques are its edges;
+    # those of CCC(3) are its eight 3-cycles, not its 36 edges
+    entry = get_entry("ccc_cliques")
+    assert entry.description.endswith("cube-connected cycles CCC(n), n >= 4")
+    for n in (4, 5):
+        assert next(entry.terms(n)) == _ccc_maximum_cliques(n), n
+    assert _ccc_maximum_cliques(3) == 8 != next(entry.terms(3))
