@@ -7,8 +7,10 @@ enumerates the words, machine-checks the identities and generating
 functions they satisfy, and serves a catalog of named integer sequences
 cross-checked against committed b-file fixtures.
 
-The names below are resolved on first access (PEP 562), so ``import insets``
-and the CLI load only the submodules a caller actually uses.
+``_EXPORTS`` below is the one list of public names, by submodule: each
+submodule reads its ``__all__`` from it, which is safe because this module
+imports no submodule.  The names are resolved on first access (PEP 562), so
+``import insets`` and the CLI load only the submodules a caller actually uses.
 """
 
 import importlib
@@ -47,7 +49,6 @@ _EXPORTS = {
         "validate",
     ),
     "series": (
-        "DEFAULT_ORDER",
         "check_coefficients",
         "gf_in_k",
         "gf_in_m",

@@ -16,9 +16,10 @@ are exposed as data.
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from .core import inset
 
-__all__ = ["chebyshev_oracle", "coeff", "polynomial"]
+__all__ = _EXPORTS["chebyshev"]
 
 ORACLE_CAP = 64
 

@@ -36,16 +36,9 @@ from __future__ import annotations
 import math
 from operator import add
 
-__all__ = [
-    "binomial",
-    "inset",
-    "inset_alternating",
-    "inset_binomial_sum",
-    "inset_dp",
-    "inset_power_sum",
-    "inset_row",
-    "trapeze_table",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["core"]
 
 
 def binomial(a: int, b: int) -> int:

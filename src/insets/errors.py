@@ -1,12 +1,8 @@
 """Exception types shared across the package."""
 
-__all__ = [
-    "BFileFormatError",
-    "CapExceededError",
-    "FixtureError",
-    "FixtureNotFoundError",
-    "NonUnitConstantTermError",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
 
 
 class CapExceededError(ValueError):

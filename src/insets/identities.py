@@ -91,10 +91,11 @@ from collections.abc import Callable, Iterator
 from itertools import product, zip_longest
 from operator import add, mul, sub
 
+from . import _EXPORTS
 from ._record import Record
 from .core import inset_row
 
-__all__ = ["Counterexample", "GridReport", "IDENTITY_NAMES", "verify", "verify_all"]
+__all__ = _EXPORTS["identities"]
 
 InsetFn = Callable[[int, int, int], int]
 

@@ -16,14 +16,18 @@ import os
 import re
 from pathlib import Path
 
+from . import _EXPORTS
 from ._record import Record
 from .errors import BFileFormatError, FixtureNotFoundError
 
-__all__ = ["BFile", "bfile_name", "load", "parse_bfile"]
+__all__ = _EXPORTS["oeis"]
 
 ENV_FIXTURE_DIR = "INSETS_FIXTURES"
 
-_OEIS_ID_RE = re.compile(r"\AA(\d{6})\Z")
+_OEIS_ID_RE = re.compile(r"A([0-9]{6})")
+# a line's index and value: each an optional "-" and ASCII digits, which
+# int() alone would widen to "+8", "1_3" and non-ASCII digits
+_LINE_RE = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")
 _FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
@@ -32,10 +36,6 @@ class BFile(Record):
 
     oeis_id: str
     entries: tuple[tuple[int, int], ...]
-
-    @property
-    def first_index(self) -> int:
-        return self.entries[0][0]
 
     @property
     def values(self) -> list[int]:
@@ -47,7 +47,7 @@ class BFile(Record):
 
 def bfile_name(fixture_id: str) -> str:
     """File name for a fixture id: A008288 -> b008288.txt, else <id>.txt."""
-    m = _OEIS_ID_RE.match(fixture_id)
+    m = _OEIS_ID_RE.fullmatch(fixture_id)
     return f"b{m.group(1)}.txt" if m else f"{fixture_id}.txt"
 
 
@@ -58,15 +58,10 @@ def parse_bfile(text: str, oeis_id: str) -> BFile:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
+        pair = _LINE_RE.fullmatch(line)
+        if pair is None:
             raise BFileFormatError(f"{oeis_id}: malformed line {lineno}: {raw!r}")
-        try:
-            index, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise BFileFormatError(
-                f"{oeis_id}: malformed line {lineno}: {raw!r}"
-            ) from None
+        index, value = int(pair[1]), int(pair[2])
         if entries and index != entries[-1][0] + 1:
             raise BFileFormatError(
                 f"{oeis_id}: non-contiguous index at line {lineno}: "

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 
+from . import _EXPORTS
 from .errors import CapExceededError
 
-__all__ = ["delannoy_paths", "lattice_points", "weak_compositions_with_zeros"]
+__all__ = _EXPORTS["oracles"]
 
 PATH_CAP = 64
 LATTICE_DIM_CAP = 8

@@ -10,7 +10,9 @@ readers that call ``inset``.  The third, ``_recurrence``, serves the six
 entries that walk the recurrence row ``_RECURRENCES`` holds for them from d
 seed terms, with one ``exact_div`` a term.  Each entry also names the fixture
 it is validated against, and optionally carries a closed form that must
-agree with the inset route term by term.
+agree with the inset route term by term.  :func:`validate` takes that
+fixture already parsed, an ``oeis.BFile``, so this module never imports
+the fixture reader and ``insets seq`` does not load it.
 
 Alignment against fixtures is discovered, not transcribed: several named
 sequences are known to sit at a shifted index relative to their customary
@@ -31,20 +33,12 @@ import itertools
 from collections import deque
 from collections.abc import Callable, Iterator
 
+from . import _EXPORTS
 from ._record import Record
 from .core import binomial, inset
 from .errors import FixtureError
-from .oeis import _OEIS_ID_RE, BFile
 
-__all__ = [
-    "SequenceEntry",
-    "SequenceSlice",
-    "ValidationReport",
-    "generate",
-    "get_entry",
-    "list_entries",
-    "validate",
-]
+__all__ = _EXPORTS["registry"]
 
 OFFSET_SEARCH = (0, -1, 1, -2, 2, -3, 3, -4, 4)
 MIN_AGREEMENT = 15
@@ -61,10 +55,6 @@ class SequenceEntry(Record):
     terms: Terms
     start: int = 0
     closed_form: Callable[[int], int] | None = None
-
-    @property
-    def oeis_id(self) -> str | None:
-        return self.fixture_id if _OEIS_ID_RE.match(self.fixture_id) else None
 
 
 class SequenceSlice(Record):

@@ -20,22 +20,11 @@ route the builders are tested against.
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from .core import _binomial_product, inset
 from .errors import NonUnitConstantTermError
 
-__all__ = [
-    "DEFAULT_ORDER",
-    "check_coefficients",
-    "gf_in_k",
-    "gf_in_m",
-    "gf_in_n",
-    "poly_mul",
-    "poly_pow",
-    "poly_trim",
-    "series_div",
-]
-
-DEFAULT_ORDER = 32
+__all__ = _EXPORTS["series"]
 
 
 def poly_trim(coeffs: list[int]) -> list[int]:
@@ -101,7 +90,7 @@ def _gf(p: int, q: int, a: int, r: int, b: int, order: int) -> list[int]:
     return _binomial_product(p, q, a, r, b, order + 1)
 
 
-def gf_in_m(n: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
+def gf_in_m(n: int, k: int, order: int) -> list[int]:
     """Expansion of (1+x)^n / (1-x)^(k+1).
 
     The coefficient of x^m equals inset(m+k-n, n, k) for every
@@ -115,7 +104,7 @@ def gf_in_m(n: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
     return _gf(1, 1, n, 1, k + 1, order)
 
 
-def gf_in_n(m: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
+def gf_in_n(m: int, k: int, order: int) -> list[int]:
     """Expansion of (1-x)^m / (1-2x)^(k+1).
 
     The coefficient of x^n equals inset(m, n+k-m, k) whenever n + k >= m.
@@ -128,7 +117,7 @@ def gf_in_n(m: int, k: int, order: int = DEFAULT_ORDER) -> list[int]:
     return _gf(1, -1, m, 2, k + 1, order)
 
 
-def gf_in_k(m: int, n: int, order: int = DEFAULT_ORDER) -> list[int]:
+def gf_in_k(m: int, n: int, order: int) -> list[int]:
     """Expansion of (2-x)^n / (1-x)^(m+n+1).
 
     The coefficient of x^k equals inset(m+k, n, k) for every k.

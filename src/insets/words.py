@@ -19,9 +19,10 @@ import functools
 import itertools
 from collections.abc import Iterator
 
+from . import _EXPORTS
 from .errors import CapExceededError
 
-__all__ = ["count_bruteforce", "enumerate_words", "is_satisfying", "iter_words"]
+__all__ = _EXPORTS["words"]
 
 ENUMERATION_CAP = 20
 # the last TAIL_LENGTH letters come from a per-call table of at most 3^8 tails

@@ -250,6 +250,16 @@ def test_crosscheck_fixture_not_utf8_is_a_fixture_error(tmp_path):
     assert result.stderr == "error: A000045: not UTF-8 at byte 6\n"
 
 
+def test_crosscheck_fixture_with_non_decimal_numbers_is_a_fixture_error(tmp_path):
+    packaged = Path(cli.__file__).parent / "fixtures" / "b000045.txt"
+    lines = packaged.read_text(encoding="utf-8").splitlines()
+    lines[6:9] = ["5 \u0665", "6 +8", "7 1_3"]  # indices 5-7, after the comment
+    (tmp_path / "b000045.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = run_cli("crosscheck", "fibonacci", "--fixtures", str(tmp_path))
+    assert result.returncode == 3
+    assert result.stderr == "error: A000045: malformed line 7: '5 \u0665'\n"
+
+
 def test_crosscheck_mismatching_fixture(tmp_path):
     bad = "\n".join(f"{i} {2 * i + 2}" for i in range(30))  # off by one everywhere
     (tmp_path / "b005408.txt").write_text(bad, encoding="utf-8")
@@ -479,7 +489,7 @@ _CALLS = [
     (("verify", "all", "2", "2"), "identities",
      {"insets.registry", "insets.oeis", "urllib.request"}),
     (("seq", "fibonacci", "4"), "registry",
-     {"urllib.request", "insets.identities", "insets.series"}),
+     {"urllib.request", "insets.identities", "insets.series", "insets.oeis"}),
     (("crosscheck", "delannoy"), "registry",
      {"urllib.request", "insets.identities", "insets.series"}),
 ]
@@ -520,11 +530,17 @@ def test_import_cli_without_site_loads_no_typing():
     "argv,own", [call[:2] for call in _CALLS], ids=[call[0][0] for call in _CALLS]
 )
 def test_subcommand_without_site_loads_no_typing(argv, own):
+    # nor, but for crosscheck, the fixture reader and the pathlib it imports;
+    # nor re in plain format (the json and csv writers import it themselves)
+    reads_fixtures = argv[0] == "crosscheck"
     for fmt in ("plain", "json", "csv"):
         code, *loaded = _without_site("-c", _FOOTPRINT, *argv, "--format", fmt).splitlines()
         assert code == "0"
         assert f"insets.{own}" in loaded
         assert "typing" not in loaded, fmt
+        if not reads_fixtures:
+            assert {"insets.oeis", "pathlib"}.isdisjoint(loaded), fmt
+            assert fmt != "plain" or "re" not in loaded
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import importlib.util
 import socket
 import subprocess
 import sys
@@ -15,7 +16,7 @@ PACKAGED_FIXTURES = Path(oeis.__file__).resolve().parent / "fixtures"
 def test_parse_basic():
     parsed = parse_bfile("0 1\n1 3\n2 13\n", "A001850")
     assert parsed.entries == ((0, 1), (1, 3), (2, 13))
-    assert parsed.first_index == 0
+    assert parsed.entries[0][0] == 0
     assert parsed.values == [1, 3, 13]
     assert len(parsed) == 3
 
@@ -46,6 +47,15 @@ def test_parse_rejects_malformed(text):
         parse_bfile(text, "A000001")
 
 
+# what int() takes but a b-file number is not: a plus sign, an underscore
+# separator, a non-ASCII digit (ARABIC-INDIC DIGIT FIVE)
+@pytest.mark.parametrize("number", ["+8", "1_3", "\u0665"])
+def test_parse_rejects_numbers_that_are_not_plain_decimal(number):
+    for line in (f"{number} 1", f"1 {number}"):
+        with pytest.raises(BFileFormatError, match="malformed line 2"):
+            parse_bfile(f"0 1\n{line}\n", "A000001")
+
+
 def test_parse_reports_line_number():
     with pytest.raises(BFileFormatError, match="line 3"):
         parse_bfile("# head\n0 1\n1 2 3\n", "A000001")
@@ -54,6 +64,12 @@ def test_parse_reports_line_number():
 def test_bfile_name():
     assert bfile_name("A008288") == "b008288.txt"
     assert bfile_name("braun_hough_cells") == "braun_hough_cells.txt"
+    assert bfile_name("cell_counts") == "cell_counts.txt"
+    # only A and six ASCII digits is an OEIS id
+    assert bfile_name("A12") == "A12.txt"
+    arabic_digits = "A\u0660\u0660\u0668\u0662\u0668\u0668"
+    assert bfile_name(arabic_digits) == f"{arabic_digits}.txt"
+    assert bfile_name("Aztec_cells") == "Aztec_cells.txt"
 
 
 def test_load_from_packaged_fixtures(monkeypatch):
@@ -131,6 +147,19 @@ def test_fixture_not_utf8_is_a_format_error(tmp_path):
     (tmp_path / "b000045.txt").write_bytes(b"0 1\n1 \xff\xfe\n")
     with pytest.raises(BFileFormatError, match=r"^A000045: not UTF-8 at byte 6$"):
         load("A000045", tmp_path)
+
+
+def test_make_fixtures_names_files_as_load_reads_them(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    ids = ["A000045", "A12", "Aztec_cells"]
+    monkeypatch.setattr(tool, "build_all", lambda: {i: ("note", 0, [1] * 15) for i in ids})
+    monkeypatch.setattr(sys, "argv", ["make_fixtures.py", str(tmp_path)])
+    tool.main()
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(map(bfile_name, ids))
+    assert [load(i, tmp_path).values for i in ids] == [[1] * 15] * 3
 
 
 def test_make_fixtures_regenerates_the_packaged_files(tmp_path):

@@ -33,10 +33,12 @@ def test_dir_lists_every_export_before_it_is_resolved():
     assert result.stdout == "[]\n"
 
 
-def test_exports_restate_each_submodule_all():
+def test_submodule_star_import_binds_exactly_its_exports():
+    # no imported helper (math, add, annotations, ...) leaks through
     for module, names in insets._EXPORTS.items():
-        source = importlib.import_module(f"insets.{module}")
-        assert set(names) == set(source.__all__), module
+        namespace = {}
+        exec(f"from insets.{module} import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(names), module
 
 
 def test_unknown_name_is_attribute_error_naming_the_module():

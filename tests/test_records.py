@@ -68,17 +68,6 @@ def test_no_field_can_be_assigned(record, required, defaults):
             setattr(made, name, "changed")
 
 
-def test_sequence_entry_oeis_id():
-    def terms(i):
-        return iter(())
-
-    assert SequenceEntry("delannoy", "A008288", "", terms).oeis_id == "A008288"
-    assert SequenceEntry("cells", "cell_counts", "", terms).oeis_id is None
-    # the rule oeis.bfile_name and oeis.load apply: A and six digits
-    assert SequenceEntry("short", "A12", "", terms).oeis_id is None
-    assert SequenceEntry("aztec", "Aztec_cells", "", terms).oeis_id is None
-
-
 def test_validation_report_validated():
     assert ValidationReport("k", "A000001", "validated", 0, 15).validated is True
     assert ValidationReport("k", "A000001", "provisional", 0, 3).validated is False
@@ -86,7 +75,7 @@ def test_validation_report_validated():
 
 def test_bfile_properties_and_length():
     bfile = BFile("A000045", ((2, 1), (3, 2), (4, 3)))
-    assert bfile.first_index == 2
+    assert bfile.entries[0][0] == 2
     assert bfile.values == [1, 2, 3]
     assert len(bfile) == len(bfile.entries) == 3
     assert len(BFile("A000045", ())) == 0

@@ -7,7 +7,7 @@ import pytest
 from insets import oeis, registry
 from insets.core import inset, inset_row
 from insets.errors import FixtureError
-from insets.oeis import BFile
+from insets.oeis import BFile, bfile_name
 from insets.registry import (
     _RECURRENCES,
     exact_div,
@@ -58,11 +58,11 @@ def test_catalog_keys_unique():
     ],
 )
 def test_catalog_oeis_ids(key, oeis_id):
-    assert get_entry(key).oeis_id == oeis_id
+    assert get_entry(key).fixture_id == oeis_id
 
 
 def test_braun_hough_has_no_oeis_id():
-    assert get_entry("braun_hough_cells").oeis_id is None
+    assert bfile_name(get_entry("braun_hough_cells").fixture_id) == "braun_hough_cells.txt"
 
 
 @pytest.mark.parametrize(

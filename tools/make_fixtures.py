@@ -17,11 +17,14 @@ Usage: python tools/make_fixtures.py [output_dir]
 
 from __future__ import annotations
 
+import re
 import sys
 from itertools import combinations
 from pathlib import Path
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "src" / "insets" / "fixtures"
+# the rule of insets.oeis.bfile_name: A and six ASCII digits names b<digits>.txt
+_OEIS_ID_RE = re.compile(r"A([0-9]{6})")
 
 
 def exact_div(a: int, b: int) -> int:
@@ -262,7 +265,8 @@ def main() -> None:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_OUT
     out_dir.mkdir(parents=True, exist_ok=True)
     for fixture_id, (note, first, values) in sorted(build_all().items()):
-        name = f"b{fixture_id[1:]}.txt" if fixture_id.startswith("A") else f"{fixture_id}.txt"
+        oeis = _OEIS_ID_RE.fullmatch(fixture_id)
+        name = f"b{oeis[1]}.txt" if oeis else f"{fixture_id}.txt"
         lines = [f"# {fixture_id}: {note}"]
         lines += [f"{first + i} {v}" for i, v in enumerate(values)]
         (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
