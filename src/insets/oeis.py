@@ -34,7 +34,6 @@ _FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 class BFile(Record):
     """Parsed fixture: ordered, contiguous (index, value) pairs."""
 
-    oeis_id: str
     entries: tuple[tuple[int, int], ...]
 
     @property
@@ -68,7 +67,7 @@ def parse_bfile(text: str, oeis_id: str) -> BFile:
                 f"expected {entries[-1][0] + 1}, got {index}"
             )
         entries.append((index, value))
-    return BFile(oeis_id=oeis_id, entries=tuple(entries))
+    return BFile(entries=tuple(entries))
 
 
 def load(fixture_id: str, fixture_dir: str | Path | None = None) -> BFile:

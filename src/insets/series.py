@@ -4,13 +4,17 @@ Polynomials are coefficient lists, index = degree, trailing zeros trimmed
 (the zero polynomial is the empty list).  A truncated series of order N is
 a list of N + 1 exact integer coefficients, arithmetic modulo x^(N+1).
 
-The three generating-function builders expand a product of binomial
-powers (p + qx)^a (1 - rx)^(-b), which is D-finite, so each walks its
-two-term coefficient recurrence on ``core._binomial_product``, the loop
+The paper's three generating functions, one per variable of inset(m, n, k)
+with the other two fixed, are the three rows of one table, ``_ROWS``.  From
+the two fixed variables a row gives the product of binomial powers
+(p + qx)^a (1 - rx)^(-b) its builder expands, and the inset cell (m, n, k)
+that coefficient j carries.  The product is D-finite, so each builder walks
+its two-term coefficient recurrence on ``core._binomial_product``, the loop
 ``core.inset_row`` also walks: ``order`` steps of one exact division each.
-Each builder states which coefficients carry inset values; coefficients
-outside that range are produced but unconstrained.  ``check_coefficients``
-compares the constrained coefficients of an expansion with ``inset``.
+One rule says which coefficients carry inset values: coefficient j does
+exactly where its cell has no negative coordinate; the others are produced
+but unconstrained.  ``check_coefficients`` compares, by that rule, the
+coefficients of an expansion with ``inset``.
 
 ``series_div`` is public truncated division by a denominator with constant
 term +-1, which keeps the quotient integral.  Dividing the ``poly_pow``
@@ -83,11 +87,30 @@ def series_div(num: list[int], den: list[int], order: int) -> list[int]:
     return out
 
 
-def _gf(p: int, q: int, a: int, r: int, b: int, order: int) -> list[int]:
-    """(p + q*x)^a * (1 - r*x)^(-b) modulo x^(order+1), one coefficient per step."""
+# which -> (from the fixed (a, b) of gf_in_<which>: its product (p, q, a, r, b);
+# from (a, b, j): the inset cell (m, n, k) of coefficient j)
+_ROWS = {
+    "m": (lambda n, k: (1, 1, n, 1, k + 1), lambda n, k, j: (j + k - n, n, k)),
+    "n": (lambda m, k: (1, -1, m, 2, k + 1), lambda m, k, j: (m, j + k - m, k)),
+    "k": (lambda m, n: (2, -1, n, 1, m + n + 1), lambda m, n, j: (m + j, n, j)),
+}
+
+
+def _row(which: str, a: int, b: int) -> tuple:
+    """The ``_ROWS`` row of ``which``, once ``a`` and ``b`` are known nonnegative."""
+    if which not in _ROWS:
+        raise ValueError(f"which must be 'm', 'n' or 'k', not {which!r}")
+    if a < 0 or b < 0:
+        raise ValueError("parameters must be nonnegative")
+    return _ROWS[which]
+
+
+def _gf(which: str, a: int, b: int, order: int) -> list[int]:
+    """The expansion of row ``which`` at (a, b) modulo x^(order+1), one coefficient per step."""
+    product, _ = _row(which, a, b)
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return _binomial_product(p, q, a, r, b, order + 1)
+    return _binomial_product(*product(a, b), order + 1)
 
 
 def gf_in_m(n: int, k: int, order: int) -> list[int]:
@@ -99,9 +122,7 @@ def gf_in_m(n: int, k: int, order: int) -> list[int]:
 
         (j+1) c[j+1] = (n + k + 1) c[j] + (k - n + j) c[j-1].
     """
-    if n < 0 or k < 0:
-        raise ValueError("parameters must be nonnegative")
-    return _gf(1, 1, n, 1, k + 1, order)
+    return _gf("m", n, k, order)
 
 
 def gf_in_n(m: int, k: int, order: int) -> list[int]:
@@ -112,9 +133,7 @@ def gf_in_n(m: int, k: int, order: int) -> list[int]:
 
         (j+1) c[j+1] = (2k + 2 - m + 3j) c[j] - 2(k - m + j) c[j-1].
     """
-    if m < 0 or k < 0:
-        raise ValueError("parameters must be nonnegative")
-    return _gf(1, -1, m, 2, k + 1, order)
+    return _gf("n", m, k, order)
 
 
 def gf_in_k(m: int, n: int, order: int) -> list[int]:
@@ -125,9 +144,7 @@ def gf_in_k(m: int, n: int, order: int) -> list[int]:
 
         2(j+1) c[j+1] = (2m + n + 2 + 3j) c[j] - (m + j) c[j-1].
     """
-    if m < 0 or n < 0:
-        raise ValueError("parameters must be nonnegative")
-    return _gf(2, -1, n, 1, m + n + 1, order)
+    return _gf("k", m, n, order)
 
 
 def check_coefficients(
@@ -135,23 +152,15 @@ def check_coefficients(
 ) -> tuple[int, int] | None:
     """First (power, expected) where ``coeffs`` breaks the inset law, or None.
 
-    ``coeffs`` is read as the expansion ``gf_in_<which>(a, b, ...)``, and
-    each power is compared only where that builder's docstring says it
-    carries an inset value.
+    ``coeffs`` is read as the expansion ``gf_in_<which>(a, b, ...)``.  Power j
+    is compared with the value of its row's cell exactly where that cell has
+    no negative coordinate, which is each builder's documented range:
+    j >= max(0, a - b) for ``m``, j + b >= a for ``n``, and every j for ``k``.
+    A negative ``a`` or ``b`` raises ValueError.
     """
-    if which not in ("m", "n", "k"):
-        raise ValueError(f"which must be 'm', 'n' or 'k', not {which!r}")
-    for idx, got in enumerate(coeffs):
-        if which == "m":
-            if idx < max(0, a - b):
-                continue
-            expect = inset(idx + b - a, a, b)
-        elif which == "n":
-            if idx + b < a:
-                continue
-            expect = inset(a, idx + b - a, b)
-        else:
-            expect = inset(a + idx, b, idx)
-        if got != expect:
-            return idx, expect
+    _, cell = _row(which, a, b)
+    for j, got in enumerate(coeffs):
+        m, n, k = cell(a, b, j)
+        if min(m, n, k) >= 0 and got != (expect := inset(m, n, k)):
+            return j, expect
     return None

@@ -44,6 +44,19 @@ GOLDEN = [
     ("series m 3 2 10 --check", "csv", 0,
      "power,coefficient\n0,1\n1,6\n2,18\n3,38\n4,66\n5,102\n6,146\n7,198\n8,258\n"
      "9,326\n10,402\n"),
+    # powers 0-2 of gf_in_n(5, 2) lie outside the law (j + 2 < 5), and --check skips them
+    ("series n 5 2 8 --check", "plain", 0, "1 1 4 10 25 61 146 344 800\nPASS\n"),
+    ("series n 5 2 8 --check", "json", 0,
+     '{"which": "n", "a": 5, "b": 2, "order": 8, "coefficients": ["1", "1", "4", "10", '
+     '"25", "61", "146", "344", "800"], "check": "PASS"}\n'),
+    ("series n 5 2 8 --check", "csv", 0,
+     "power,coefficient\n0,1\n1,1\n2,4\n3,10\n4,25\n5,61\n6,146\n7,344\n8,800\n"),
+    ("series k 2 3 6 --check", "plain", 0, "8 36 102 231 456 819 1372\nPASS\n"),
+    ("series k 2 3 6 --check", "json", 0,
+     '{"which": "k", "a": 2, "b": 3, "order": 6, "coefficients": ["8", "36", "102", '
+     '"231", "456", "819", "1372"], "check": "PASS"}\n'),
+    ("series k 2 3 6 --check", "csv", 0,
+     "power,coefficient\n0,8\n1,36\n2,102\n3,231\n4,456\n5,819\n6,1372\n"),
     ("poly 1 4", "plain", 0, "1 0 -8 0 8\n"),
     ("poly 1 4", "json", 0, '{"m": 1, "n": 4, "coefficients": ["1", "0", "-8", "0", "8"]}\n'),
     ("poly 1 4", "csv", 0, "power,coefficient\n0,1\n1,0\n2,-8\n3,0\n4,8\n"),

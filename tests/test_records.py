@@ -23,7 +23,7 @@ RECORDS = [
         ("key", "fixture_id", "status", "offset", "agreed"),
         {"mismatch": None},
     ),
-    (BFile, ("oeis_id", "entries"), {}),
+    (BFile, ("entries",), {}),
 ]
 IDS = [record.__name__ for record, _, _ in RECORDS]
 
@@ -74,12 +74,12 @@ def test_validation_report_validated():
 
 
 def test_bfile_properties_and_length():
-    bfile = BFile("A000045", ((2, 1), (3, 2), (4, 3)))
+    bfile = BFile(((2, 1), (3, 2), (4, 3)))
     assert bfile.entries[0][0] == 2
     assert bfile.values == [1, 2, 3]
     assert len(bfile) == len(bfile.entries) == 3
-    assert len(BFile("A000045", ())) == 0
-    assert repr(bfile) == "BFile(oeis_id='A000045', entries=((2, 1), (3, 2), (4, 3)))"
+    assert len(BFile(())) == 0
+    assert repr(bfile) == "BFile(entries=((2, 1), (3, 2), (4, 3)))"
 
 
 def test_records_of_different_types_differ():

@@ -1,13 +1,16 @@
+import ast
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from insets import oeis, registry
+from insets import oeis, oracles, registry
 from insets.core import inset, inset_row
 from insets.errors import FixtureError
 from insets.oeis import BFile, bfile_name
+from insets.oracles import delannoy_paths, lattice_points, weak_compositions_with_zeros
 from insets.registry import (
     _RECURRENCES,
     exact_div,
@@ -209,16 +212,13 @@ def test_expected_nonzero_offsets():
 
 def test_validate_rejects_empty_fixture():
     with pytest.raises(FixtureError):
-        validate("squares", BFile(oeis_id="A000290", entries=()))
+        validate("squares", BFile(entries=()))
 
 
 def test_validate_reports_mismatch():
     entry_values = list(itertools.islice(get_entry("squares").terms(0), 30))
     entry_values[7] += 1  # corrupt one term
-    fixture = BFile(
-        oeis_id="A000290",
-        entries=tuple((i, v) for i, v in enumerate(entry_values)),
-    )
+    fixture = BFile(entries=tuple((i, v) for i, v in enumerate(entry_values)))
     report = validate("squares", fixture)
     assert not report.validated
     assert report.status == "provisional"
@@ -497,3 +497,54 @@ def test_ccc_cliques_description_holds_from_n_4():
     for n in (4, 5):
         assert next(entry.terms(n)) == _ccc_maximum_cliques(n), n
     assert _ccc_maximum_cliques(3) == 8 != next(entry.terms(3))
+
+
+def _bishop_moves(n):
+    """Moves of a lone bishop, summed over its squares on an n x n board: the
+    ordered pairs of distinct squares on one diagonal."""
+    squares = list(itertools.product(range(n), repeat=2))
+    return sum(
+        abs(x - u) == abs(y - v) != 0 for (x, y), (u, v) in itertools.product(squares, repeat=2)
+    )
+
+
+# Entries whose described configuration a counter of insets.oracles or of this
+# module counts: key -> (the count for term i, from the entry's start on; how
+# many terms to compare).  delannoy compares its antidiagonals d <= 5.
+_COUNTED = {
+    **{
+        f"crystal_ball_Z{dim}": (lambda m, dim=dim: lattice_points(dim, m, "ball"), 6)
+        for dim in range(1, 6)
+    },
+    **{
+        f"coordination_Z{dim}": (lambda m, dim=dim: lattice_points(dim, m, "sphere"), 6)
+        for dim in range(3, 6)
+    },
+    "octahedron_surface": (lambda m: lattice_points(3, m + 1, "sphere"), 6),
+    "central_delannoy": (lambda n: delannoy_paths(n, n), 6),
+    "delannoy": (lambda i: (lambda d, j: delannoy_paths(j, d - j))(*_antidiagonal(i)), 21),
+    "weak_comp_2zeros": (lambda n: weak_compositions_with_zeros(n + 1, 2), 6),
+    "bishop_moves": (_bishop_moves, 6),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_COUNTED))
+def test_entry_counts_its_described_configuration(key):
+    count, terms = _COUNTED[key]
+    entry = get_entry(key)
+    got = list(itertools.islice(entry.terms(entry.start), terms))
+    assert got == [count(i) for i in range(entry.start, entry.start + terms)]
+
+
+def test_oracles_reach_no_inset_formula():
+    # the counters above stand apart from what they check only while oracles
+    # imports none of the modules that compute inset values
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert parts.isdisjoint({"core", "series", "registry", "identities", "chebyshev"}), imported

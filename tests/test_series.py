@@ -155,6 +155,14 @@ def test_check_coefficients_rejects_unknown_variable():
         check_coefficients("x", 1, 1, [1])
 
 
+@pytest.mark.parametrize("which", ["m", "n", "k"])
+@pytest.mark.parametrize("a,b", [(-1, 0), (0, -1), (-3, -3)])
+def test_check_coefficients_refuses_negative_parameters(which, a, b):
+    # refused before any coefficient is read, as the builders refuse them
+    with pytest.raises(ValueError):
+        check_coefficients(which, a, b, [])
+
+
 def test_shifted_window_identity():
     # inset(m+k-n, n, k) = sum_i C(n, m-i) C(k+i, k) whenever m + k >= n
     import math
