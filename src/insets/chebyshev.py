@@ -10,8 +10,14 @@ nonzero coefficient therefore counts ternary words of length (n+k)/2 with
 
 m = 0 reproduces the Chebyshev polynomials of the second kind and m = 1
 those of the first kind; both are checked against the classical three-term
-recurrence.  For m >= 2 the polynomials have no classical counterpart and
-are exposed as data.
+recurrence.  Every m has a classical form: since inset(m, N, K) is the
+coefficient of z^K in (1+z)^m (2+z)^N, summing over n gives
+
+    sum_n P(m, n) t^n = (t (x - t))^m / (1 - 2xt + t^2),
+
+so P(m, n) = sum_j (-1)^j C(m, j) x^(m-j) U_(n-m-j)(x) over j = 0..m,
+taking U_N = 0 for N < 0 (extending by U_(-N) = -U_(N-2) instead gives
+other polynomials).  At m = 1 this is x U_(n-1) - U_(n-2) = T_n.
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ imports argparse, whose import and parser build took 8-10 ms of each call
 (Python 3.11.7 on a 2-core VM).
 ``--help``, abbreviations, ``--opt=value``, ``--`` and every usage error go
 to the argparse parser built from the same table, which alone decides them.
+The table also holds every size limit but the two of ``words``, and ``main``
+refuses a call past one with exit status 2 before its handler runs.
 """
 
 from __future__ import annotations
@@ -124,8 +126,6 @@ def _cmd_compute(args: SimpleNamespace) -> int:
 
 
 def _cmd_table(args: SimpleNamespace) -> int:
-    if args.n + args.m_max > MAX_TABLE_SIZE:
-        raise ValueError(f"n + m_max exceeds {MAX_TABLE_SIZE}")
     # the int rows are the table's one copy: json and plain read the same lazy
     # view, each row turned to decimal as it is written, and csv reads the ints
     rows = trapeze_table(args.n, args.m_max)
@@ -139,7 +139,8 @@ def _cmd_table(args: SimpleNamespace) -> int:
 def _cmd_words(args: SimpleNamespace) -> int:
     from .words import iter_words
 
-    # iter_words refuses an over-cap length at the call, before the count is paid
+    # iter_words refuses an over-cap length at the call, before the count is paid;
+    # the listing guard is no _GRAMMAR limit, since its message carries the count
     words = iter_words(args.m, args.n, args.k)
     total = inset(args.m, args.n, args.k)
     if total > WORD_LISTING_GUARD and args.limit is None and not args.force:
@@ -153,13 +154,12 @@ def _cmd_words(args: SimpleNamespace) -> int:
 def _cmd_verify(args: SimpleNamespace) -> int:
     from . import identities
 
+    # checked here, not in _GRAMMAR: the names live in identities, loaded only here
     choices = identities.IDENTITY_NAMES + ("all",)
     if args.identity not in choices:
         raise ValueError(
             f"unknown identity {args.identity!r}; choose from {', '.join(choices)}"
         )
-    if max(args.m_max, args.n_max) > MAX_VERIFY_GRID:
-        raise ValueError(f"grid bound exceeds {MAX_VERIFY_GRID}")
     if args.identity == "all":
         reports = identities.verify_all(args.m_max, args.n_max)
     else:
@@ -185,10 +185,6 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 def _cmd_series(args: SimpleNamespace) -> int:
     from . import series
 
-    if args.order > MAX_SERIES_ORDER:
-        raise ValueError(f"order exceeds {MAX_SERIES_ORDER}")
-    if max(args.a, args.b) > MAX_SERIES_PARAM:
-        raise ValueError(f"a or b exceeds {MAX_SERIES_PARAM}")
     builder = {"m": series.gf_in_m, "n": series.gf_in_n, "k": series.gf_in_k}[args.which]
     coeffs = builder(args.a, args.b, args.order)
     digits, rows, lines = _listing(coeffs)
@@ -247,15 +243,18 @@ def _cmd_crosscheck(args: SimpleNamespace) -> int:
 
 # The command line, declared once.  Each subcommand has its help, its
 # positionals (name, converter, help), its options (name, converter, help,
-# metavar) and its handler, and every subcommand takes _FORMAT first.  A
-# converter is a function that raises ValueError, a tuple of choices, or None
-# for a flag.  An option with choices defaults to the first, a flag to False,
-# any other option to None.
+# metavar), its handler and then its size limits (label, measure, limit), and
+# every subcommand takes _FORMAT first.  A converter is a function that raises
+# ValueError, a tuple of choices, or None for a flag.  An option with choices
+# defaults to the first, a flag to False, any other option to None.  main
+# refuses a call whose measure(args) exceeds a limit, the first in row order,
+# with "error: {label} exceeds {limit}" and exit status 2.
 _FORMAT = ("--format", ("plain", "json", "csv"), "output format (default: plain)", None)
 _M, _N, _K = (("m", _nonneg, None), ("n", _nonneg, None), ("k", _nonneg, None))
 _GRAMMAR = {
     "compute": ("one inset value", (_M, _N, _K), (), _cmd_compute),
-    "table": ("fixed-n value table", (_N, ("m_max", _nonneg, None)), (), _cmd_table),
+    "table": ("fixed-n value table", (_N, ("m_max", _nonneg, None)), (), _cmd_table,
+              ("n + m_max", lambda args: args.n + args.m_max, MAX_TABLE_SIZE)),
     "words": (
         "list the counted words",
         (_M, _N, _K),
@@ -274,6 +273,7 @@ _GRAMMAR = {
         ),
         (),
         _cmd_verify,
+        ("grid bound", lambda args: max(args.m_max, args.n_max), MAX_VERIFY_GRID),
     ),
     "series": (
         "generating-function coefficients",
@@ -285,6 +285,8 @@ _GRAMMAR = {
         ),
         (("--check", None, "compare against inset values", None),),
         _cmd_series,
+        ("order", lambda args: args.order, MAX_SERIES_ORDER),
+        ("a or b", lambda args: max(args.a, args.b), MAX_SERIES_PARAM),
     ),
     "poly": ("generalized Chebyshev coefficients", (_M, _N), (), _cmd_poly),
     "seq": (
@@ -324,7 +326,7 @@ def _quick_parse(argv: Sequence[str]) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in _GRAMMAR:
         return None
-    _, positionals, options, handler = _GRAMMAR[argv[0]]
+    _, positionals, options, handler, *_ = _GRAMMAR[argv[0]]
     converters = {flag: convert for flag, convert, _, _ in (_FORMAT, *options)}
     args = SimpleNamespace(command=argv[0], handler=handler)
     for flag, convert in converters.items():
@@ -371,7 +373,7 @@ def _build_parser():
         description="Exact inset numbers, restricted ternary words, and their sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, positionals, options, handler) in _GRAMMAR.items():
+    for command, (summary, positionals, options, handler, *_) in _GRAMMAR.items():
         p = sub.add_parser(command, help=summary)
         for name, convert, text in positionals:
             if isinstance(convert, tuple):
@@ -393,6 +395,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _quick_parse(argv) or _build_parser().parse_args(argv, SimpleNamespace())
+    for label, measure, limit in _GRAMMAR[args.command][4:]:
+        if measure(args) > limit:
+            print(f"error: {label} exceeds {limit}", file=sys.stderr)
+            return 2
     # Arguments are parsed under the int-to-str digit cap (0 or absent: none,
     # as before Python 3.10.7); the command runs without it, then it returns.
     saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -444,13 +444,15 @@ def generate(key: str, count: int) -> SequenceSlice:
     return SequenceSlice(key=key, start=entry.start, values=values)
 
 
-def validate(key: str, fixture: BFile) -> ValidationReport:
-    """Align generated terms with the fixture by offset search.
+def validate(key: str, fixture) -> ValidationReport:
+    """Align generated terms with ``fixture``, an ``oeis.BFile``, by offset search.
 
     Offsets in [-4, 4] are tried, preferring small absolute shifts; the
     entry is validated when every overlapping term agrees and the overlap
     has at least 15 terms, otherwise it is reported provisional with the
-    first mismatch at the best-agreeing offset.
+    first mismatch at the best-agreeing offset.  ``fixture``'s type is named
+    here, not annotated: this module does not import ``oeis``, so the
+    annotation would not resolve.
     """
     entry = get_entry(key)
     if not fixture.entries:

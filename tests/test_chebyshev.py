@@ -106,3 +106,19 @@ def test_rows_follow_the_three_term_recurrence_past_2m():
             assert recurs(m, n), (m, n)
     for m in range(1, 7):
         assert not recurs(m, 2 * m), m
+
+
+def test_every_m_is_a_binomial_combination_of_second_kind_polynomials():
+    # P(m, n) = sum_j (-1)^j C(m, j) x^(m-j) U_(n-m-j)(x) with U_N = 0 for
+    # N < 0, i.e. sum_n P(m, n) t^n = (t (x - t))^m / (1 - 2xt + t^2), built
+    # from the three-term recurrence alone
+    for m in range(9):
+        for n in range(65):
+            expected = [0] * (n + 1)
+            weight = 1  # (-1)^j C(m, j)
+            for j in range(min(m, n - m) + 1):
+                u = chebyshev_oracle("second", n - m - j)
+                for power, c in enumerate(u, m - j):
+                    expected[power] += weight * c
+                weight = -weight * (m - j) // (j + 1)
+            assert polynomial(m, n) == expected, (m, n)

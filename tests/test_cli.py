@@ -181,6 +181,70 @@ def test_table_at_size_budget_runs(capsys):
     assert len(line.split()) == 701 and line.split()[0] == str(2**700)
 
 
+# For each size limit of _GRAMMAR, calls whose measure for that limit is v
+# and whose other measures stay small
+_AT_LIMIT = {
+    ("table", "n + m_max"): lambda v: (f"{v} 0", f"0 {v}", f"{v - 300} 300"),
+    ("verify", "grid bound"): lambda v: (f"all {v} 0", f"pascal 0 {v}", f"all {v} {v}"),
+    ("series", "order"): lambda v: (f"k 0 0 {v}", f"m 3 2 {v} --check"),
+    ("series", "a or b"): lambda v: (f"k {v} 0 5", f"n 0 {v} 5", f"m {v} {v} 5"),
+}
+
+
+def _limits():
+    return [
+        (command, label, limit)
+        for command, row in cli._GRAMMAR.items()
+        for label, _, limit in row[4:]
+    ]
+
+
+def test_limit_cases_cover_exactly_the_grammar_limits():
+    assert sorted(_AT_LIMIT) == sorted((command, label) for command, label, _ in _limits())
+
+
+@pytest.mark.parametrize("command,label,limit", _limits())
+def test_grammar_limit_refuses_past_it_and_reaches_the_handler_at_it(
+    monkeypatch, capsys, command, label, limit
+):
+    # the handler is stubbed, so a call at the limit costs nothing; "--format=csv"
+    # takes the argparse path, the others the quick parse
+    row = cli._GRAMMAR[command]
+    reached = []
+    stub = (*row[:3], lambda args: reached.append(args.command) or 0, *row[4:])
+    monkeypatch.setitem(cli._GRAMMAR, command, stub)
+    for value, status in ((limit + 1, 2), (limit, 0)):
+        for call in _AT_LIMIT[command, label](value):
+            for spelling in ([], ["--format=csv"]):
+                argv = [command, *call.split(), *spelling]
+                reached.clear()
+                assert cli.main(argv) == status, argv
+                out, err = capsys.readouterr()
+                assert out == ""
+                if status:
+                    assert err == f"error: {label} exceeds {limit}\n", argv
+                    assert reached == [], argv
+                else:
+                    assert (err, reached) == ("", [command]), argv
+
+
+def test_every_limit_message_is_in_the_readme():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for _, label, limit in _limits():
+        assert f"`error: {label} exceeds {limit}`" in readme
+
+
+def test_limits_are_named_in_row_order_before_the_handler_runs(capsys):
+    # a limit is checked before the handler, so an unknown identity past the
+    # grid bound is refused for the bound
+    for argv, line in (
+        (["verify", "nope", "40", "40"], "error: grid bound exceeds 32\n"),
+        (["series", "k", "20001", "0", "513"], "error: order exceeds 512\n"),
+    ):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", line)
+
+
 def test_compute_json():
     result = run_cli("compute", "1", "3", "2", "--format", "json")
     assert json.loads(result.stdout) == {"m": 1, "n": 3, "k": 2, "value": "18"}
@@ -589,7 +653,7 @@ def _argvs(draw):
     options among them at random places, then up to two tokens replaced,
     inserted or dropped."""
     command = draw(st.sampled_from(list(cli._GRAMMAR)))
-    _, positionals, options, _ = cli._GRAMMAR[command]
+    _, positionals, options, *_ = cli._GRAMMAR[command]
     groups = [[draw(_valid(convert))] for _, convert, _ in positionals]
     for flag, convert, _, _ in (cli._FORMAT, *options):
         if draw(st.booleans()):

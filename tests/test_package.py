@@ -1,7 +1,10 @@
 import importlib
 import json
+import pkgutil
 import subprocess
 import sys
+import types
+import typing
 
 import pytest
 
@@ -105,3 +108,24 @@ def test_no_module_level_state_grows():
     assert state["caches"], "no lru_cache found"
     for name, (maxsize, currsize) in state["caches"].items():
         assert currsize <= maxsize, name
+
+
+def test_every_annotation_resolves():
+    # typing.get_type_hints evaluates each annotation string in its module,
+    # so a name the module does not bind fails here, not in a caller
+    checked = 0
+    for info in pkgutil.iter_modules(insets.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        source = importlib.import_module(f"insets.{info.name}")
+        for value in vars(source).values():
+            if not isinstance(value, (type, types.FunctionType)):
+                continue
+            if value.__module__ != source.__name__:
+                continue
+            methods = vars(value).values() if isinstance(value, type) else ()
+            for item in (value, *methods):
+                if isinstance(item, (type, types.FunctionType)):
+                    typing.get_type_hints(item)
+                    checked += 1
+    assert checked >= 100

@@ -240,6 +240,34 @@ def test_whole_fixtures_agree():
             assert gvals[i] == fvals[i + off], (entry.key, entry.start + i)
 
 
+# The catalog's entries that are one stream read two ways (ROADMAP item 13):
+# (first, second, shift) with second[i] == first[i + shift] on the first 60
+# terms of each, keys in sorted order
+_SAME_STREAM = {
+    ("bishop_moves", "even_squares_sum", 0),
+    ("centered_octahedral", "crystal_ball_Z3", 0),
+    ("centered_square", "crystal_ball_Z2", 0),
+    ("crystal_ball_Z1", "odd_numbers", 0),
+    ("coordination_Z3", "octahedron_surface", 1),
+    ("sulanke_even", "sulanke_odd", 1),
+}
+
+
+def test_catalog_declares_its_duplicate_streams():
+    terms = {entry.key: generate(entry.key, 60).values for entry in list_entries()}
+    assert len(terms) == 40
+    found = {
+        (first, second, shift)
+        for first, second in itertools.combinations(sorted(terms), 2)
+        for shift in range(-4, 5)
+        if all(
+            terms[second][i] == terms[first][i + shift]
+            for i in range(max(0, -shift), min(60, 60 - shift))
+        )
+    }
+    assert found == _SAME_STREAM
+
+
 def _antidiagonal(i):
     d = (math.isqrt(8 * i + 1) - 1) // 2
     return d, i - d * (d + 1) // 2
