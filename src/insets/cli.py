@@ -6,7 +6,8 @@ computed values are decimal strings, because they outgrow 64 bits quickly,
 and indices (m, n, k, order, start, offset, agreed) are numbers.
 
 Exit status: 0 success, 1 verification failure, 2 usage error, 3 I/O or
-fixture error.
+fixture error.  A reader that closes stdout early ends the call quietly:
+nothing on stderr, and exit status 0.
 
 Each handler imports the modules it runs, and each format imports its own
 writer (``json`` or ``csv``; plain needs none), so a call pays start-up only
@@ -26,6 +27,7 @@ refuses a call past one with exit status 2 before its handler runs.
 from __future__ import annotations
 
 import itertools
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from types import SimpleNamespace
@@ -405,7 +407,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     if saved:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader of stdout stopped early, which is no error.  Pointing
+        # stdout at devnull leaves the interpreter's final flush nothing to
+        # report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

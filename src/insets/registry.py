@@ -14,6 +14,17 @@ agree with the inset route term by term.  :func:`validate` takes that
 fixture already parsed, an ``oeis.BFile``, so this module never imports
 the fixture reader and ``insets seq`` does not load it.
 
+The 40 entries hold 34 streams: six entries are readings of an earlier
+entry's stream, and each states only its key, description, start and closed
+form.  Its term i is that entry's term i + shift, and its fixture is that
+entry's; ``_READINGS`` records each as key -> (stream key, shift):
+``sulanke_odd`` reads ``sulanke_even`` from index 1, ``crystal_ball_Z1``,
+``Z2`` and ``Z3`` read ``odd_numbers``, ``centered_square`` and
+``centered_octahedral``, ``octahedron_surface`` reads ``coordination_Z3``
+shifted by 1, and ``even_squares_sum`` reads ``bishop_moves`` shifted by 2.
+:func:`validate` still validates each reading on its own, so each report
+keeps its own offset.
+
 Alignment against fixtures is discovered, not transcribed: several named
 sequences are known to sit at a shifted index relative to their customary
 numbering, so :func:`validate` searches offsets in [-4, 4] and requires
@@ -168,8 +179,21 @@ def _antidiagonals(cell: Callable[[int, int], tuple[int, int, int]]) -> Terms:
     return _rows(lambda d: range(d + 1), cell)
 
 
-def _build_catalog() -> list[SequenceEntry]:
-    sulanke_grid = _antidiagonals(lambda d, j: (d // 2, d - d // 2, j))
+def _build_catalog() -> tuple[list[SequenceEntry], dict[str, tuple[str, int]]]:
+    """The entries in order, and the readings: key -> (stream key, shift)."""
+    readings: dict[str, tuple[str, int]] = {}
+
+    def reading(
+        key: str, stream: str, shift: int, description: str,
+        start: int = 0, closed_form: Callable[[int], int] | None = None,
+    ) -> SequenceEntry:
+        """A second reading of the earlier entry ``stream``: its term i is that
+        entry's term i + shift, and its fixture is that entry's."""
+        source = next(e for e in entries if e.key == stream)
+        readings[key] = (stream, shift)
+        terms = lambda i: source.terms(i + shift)  # noqa: E731
+        return SequenceEntry(key, source.fixture_id, description, terms, start, closed_form)
+
     entries = [
         SequenceEntry(
             "odd_numbers",
@@ -283,27 +307,25 @@ def _build_catalog() -> list[SequenceEntry]:
             "sulanke_even",
             "A064861",
             "parity-split grid read by antidiagonals, anchored on the even corner",
-            sulanke_grid,
-        ),
-        SequenceEntry(
-            "sulanke_odd",
-            "A064861",
-            "parity-split grid read by antidiagonals, anchored on the first odd cell",
-            sulanke_grid,
-            start=1,
+            _antidiagonals(lambda d, j: (d // 2, d - d // 2, j)),
         ),
     ]
-
-    ball_ids = {1: "A005408", 2: "A001844", 3: "A001845", 4: "A001846", 5: "A001847"}
-    for dim, fixture in ball_ids.items():
-        entries.append(
-            SequenceEntry(
-                f"crystal_ball_Z{dim}",
-                fixture,
-                f"inset(m,{dim},{dim}): lattice points with |x|_1 <= m in Z^{dim}",
-                _line(lambda m, d=dim: (m, d, d)),
-            )
+    entries.append(
+        reading(
+            "sulanke_odd",
+            "sulanke_even",
+            0,
+            "parity-split grid read by antidiagonals, anchored on the first odd cell",
+            start=1,
         )
+    )
+
+    ball = "inset(m,{0},{0}): lattice points with |x|_1 <= m in Z^{0}"
+    for dim, stream in enumerate(("odd_numbers", "centered_square", "centered_octahedral"), 1):
+        entries.append(reading(f"crystal_ball_Z{dim}", stream, 0, ball.format(dim)))
+    for dim, fixture in ((4, "A001846"), (5, "A001847")):
+        terms = _line(lambda m, d=dim: (m, d, d))
+        entries.append(SequenceEntry(f"crystal_ball_Z{dim}", fixture, ball.format(dim), terms))
 
     coordination_ids = {3: "A005899", 4: "A008412", 5: "A008413"}
     for dim, fixture in coordination_ids.items():
@@ -339,11 +361,11 @@ def _build_catalog() -> list[SequenceEntry]:
             _line(lambda m: (m + 1, 2, m)),
             closed_form=lambda m: binomial(m + 5, 3) - 2 * (m + 3),
         ),
-        SequenceEntry(
+        reading(
             "octahedron_surface",
-            "A005899",
+            "coordination_Z3",
+            1,
             "inset(m,3,2): points on the octahedron surface 4(m+1)^2 + 2",
-            _line(lambda m: (m, 3, 2)),
             closed_form=lambda m: 4 * (m + 1) * (m + 1) + 2,
         ),
         SequenceEntry(
@@ -372,11 +394,11 @@ def _build_catalog() -> list[SequenceEntry]:
             _line(lambda m: (1, m + 1, m)),
             closed_form=lambda m: 2 * (m + 1) * (m + 1),
         ),
-        SequenceEntry(
+        reading(
             "even_squares_sum",
-            "A002492",
+            "bishop_moves",
+            2,
             "inset(1,m+2,m): sum of the first m+1 even squares",
-            _line(lambda m: (1, m + 2, m)),
             closed_form=lambda m: exact_div(2 * (m + 1) * (m + 2) * (2 * m + 3), 3),
         ),
         SequenceEntry(
@@ -416,10 +438,11 @@ def _build_catalog() -> list[SequenceEntry]:
             ),
         ),
     ]
-    return entries
+    return entries, readings
 
 
-_CATALOG: list[SequenceEntry] = _build_catalog()
+# _READINGS: reading key -> (stream key, shift), one item per reading
+_CATALOG, _READINGS = _build_catalog()
 _BY_KEY: dict[str, SequenceEntry] = {e.key: e for e in _CATALOG}
 
 
@@ -460,25 +483,17 @@ def validate(key: str, fixture) -> ValidationReport:
     fvals = fixture.values
     gvals = generate(key, min(40, len(fvals) + 4)).values
 
-    best: tuple[int, int, tuple[int, int, int] | None] | None = None
+    best: tuple[int, int, tuple[int, int, int]] | None = None
     for off in OFFSET_SEARCH:
-        lo = max(0, -off)
-        hi = min(len(gvals), len(fvals) - off)
-        overlap = hi - lo
-        if overlap < MIN_AGREEMENT:
+        lo, hi = max(0, -off), min(len(gvals), len(fvals) - off)
+        if hi - lo < MIN_AGREEMENT:
             continue
-        agreed = 0
-        mismatch: tuple[int, int, int] | None = None
-        for i in range(lo, hi):
-            if gvals[i] == fvals[i + off]:
-                agreed += 1
-            else:
-                mismatch = (entry.start + i, gvals[i], fvals[i + off])
-                break
-        if mismatch is None:
-            return ValidationReport(key, entry.fixture_id, "validated", off, overlap)
-        if best is None or agreed > best[0]:
-            best = (agreed, off, mismatch)
+        bad = next((i for i in range(lo, hi) if gvals[i] != fvals[i + off]), None)
+        if bad is None:
+            return ValidationReport(key, entry.fixture_id, "validated", off, hi - lo)
+        # the terms before the first mismatch agree
+        if best is None or bad - lo > best[0]:
+            best = (bad - lo, off, (entry.start + bad, gvals[bad], fvals[bad + off]))
     if best is None:
         raise FixtureError(
             f"fixture for {key} is too short: need an overlap of {MIN_AGREEMENT} terms"

@@ -332,6 +332,35 @@ def test_crosscheck_mismatching_fixture(tmp_path):
     assert "provisional" in result.stdout
 
 
+def test_closed_stdout_ends_the_call_quietly():
+    # a reader that stops after 10 bytes of a table of several MB
+    argv = [sys.executable, "-m", "insets", "table", "300", "300"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+    assert stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_closed_before_any_output(unbuffered):
+    # buffered, the one line is still in the buffer when the handler returns
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "insets", "compute", "1", "3", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, b"")
+
+
 def test_unknown_seq_key():
     result = run_cli("seq", "nope", "4")
     assert result.returncode == 2

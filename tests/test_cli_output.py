@@ -70,6 +70,20 @@ GOLDEN = [
      '"agreed": 40}]\n'),
     ("crosscheck delannoy", "csv", 0,
      "key,fixture,status,offset,agreed\ndelannoy,A008288,validated,0,40\n"),
+    # two readings of an earlier entry's stream, each shifted against it: a
+    # reading whose shift or start drifts moves its offset
+    ("crosscheck octahedron_surface", "plain", 0, "validated offset=1\n"),
+    ("crosscheck octahedron_surface", "json", 0,
+     '[{"key": "octahedron_surface", "fixture": "A005899", "status": "validated", '
+     '"offset": 1, "agreed": 40}]\n'),
+    ("crosscheck octahedron_surface", "csv", 0,
+     "key,fixture,status,offset,agreed\noctahedron_surface,A005899,validated,1,40\n"),
+    ("crosscheck sulanke_odd", "plain", 0, "validated offset=1\n"),
+    ("crosscheck sulanke_odd", "json", 0,
+     '[{"key": "sulanke_odd", "fixture": "A064861", "status": "validated", "offset": 1, '
+     '"agreed": 40}]\n'),
+    ("crosscheck sulanke_odd", "csv", 0,
+     "key,fixture,status,offset,agreed\nsulanke_odd,A064861,validated,1,40\n"),
 ]
 
 

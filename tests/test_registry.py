@@ -12,6 +12,7 @@ from insets.errors import FixtureError
 from insets.oeis import BFile, bfile_name
 from insets.oracles import delannoy_paths, lattice_points, weak_compositions_with_zeros
 from insets.registry import (
+    _READINGS,
     _RECURRENCES,
     exact_div,
     fibonacci_by_insets,
@@ -240,20 +241,10 @@ def test_whole_fixtures_agree():
             assert gvals[i] == fvals[i + off], (entry.key, entry.start + i)
 
 
-# The catalog's entries that are one stream read two ways (ROADMAP item 13):
-# (first, second, shift) with second[i] == first[i + shift] on the first 60
-# terms of each, keys in sorted order
-_SAME_STREAM = {
-    ("bishop_moves", "even_squares_sum", 0),
-    ("centered_octahedral", "crystal_ball_Z3", 0),
-    ("centered_square", "crystal_ball_Z2", 0),
-    ("crystal_ball_Z1", "odd_numbers", 0),
-    ("coordination_Z3", "octahedron_surface", 1),
-    ("sulanke_even", "sulanke_odd", 1),
-}
-
-
 def test_catalog_declares_its_duplicate_streams():
+    # every pair of entries whose first 60 terms agree, second[i] == first[i +
+    # shift] for a shift in -4..4 (keys in sorted order), is a reading the
+    # catalog declares (ROADMAP item 13), at the shift its declaration gives
     terms = {entry.key: generate(entry.key, 60).values for entry in list_entries()}
     assert len(terms) == 40
     found = {
@@ -265,7 +256,23 @@ def test_catalog_declares_its_duplicate_streams():
             for i in range(max(0, -shift), min(60, 60 - shift))
         )
     }
-    assert found == _SAME_STREAM
+    declared = set()
+    for reading, (stream, shift) in _READINGS.items():
+        # generated terms begin at each entry's own start
+        lag = get_entry(reading).start + shift - get_entry(stream).start
+        declared.add((stream, reading, lag) if stream < reading else (reading, stream, -lag))
+    assert found == declared
+    # a declaration agrees with itself whatever its shift, so each reading's
+    # terms are held to the cell its description names, "inset(a,b,c): ..."
+    # in m, or to the index decoding of its array
+    for reading in _READINGS:
+        entry = get_entry(reading)
+        cell, _, _ = entry.description.partition(": ")
+        if cell.startswith("inset("):
+            term = eval(f"lambda m: {cell}", {"inset": inset})
+        else:
+            term = _DECODED[reading][1]
+        assert terms[reading] == [term(entry.start + i) for i in range(60)], reading
 
 
 def _antidiagonal(i):
@@ -549,6 +556,8 @@ _COUNTED = {
         for dim in range(3, 6)
     },
     "octahedron_surface": (lambda m: lattice_points(3, m + 1, "sphere"), 6),
+    "centered_square": (lambda m: lattice_points(2, m, "ball"), 6),
+    "centered_octahedral": (lambda m: lattice_points(3, m, "ball"), 6),
     "central_delannoy": (lambda n: delannoy_paths(n, n), 6),
     "delannoy": (lambda i: (lambda d, j: delannoy_paths(j, d - j))(*_antidiagonal(i)), 21),
     "weak_comp_2zeros": (lambda n: weak_compositions_with_zeros(n + 1, 2), 6),
@@ -562,6 +571,24 @@ def test_entry_counts_its_described_configuration(key):
     entry = get_entry(key)
     got = list(itertools.islice(entry.terms(entry.start), terms))
     assert got == [count(i) for i in range(entry.start, entry.start + terms)]
+
+
+# Entries whose description names no configuration to count, each with why
+NO_CONFIGURATION = {
+    "odd_numbers": "names a family of numbers, the odd numbers",
+    "even_squares_sum": "names a family of numbers, the sums of the first even squares",
+    "sulanke_even": "names an array of inset cells; test_sulanke_grid_counts_words counts them",
+    "sulanke_odd": "names the array of sulanke_even, read from its first odd cell",
+}
+
+
+def test_shared_streams_are_counted_or_excused():
+    # each entry of a stream that the catalog reads twice has a counter row
+    # or a reason to have none (ROADMAP item 11)
+    shared = set(_READINGS) | {stream for stream, _ in _READINGS.values()}
+    assert len(shared) == 12
+    assert shared <= set(_COUNTED) | set(NO_CONFIGURATION)
+    assert not set(_COUNTED) & set(NO_CONFIGURATION)
 
 
 def test_oracles_reach_no_inset_formula():
