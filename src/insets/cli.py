@@ -53,9 +53,9 @@ MAX_SERIES_PARAM = 20_000
 MAX_VERIFY_GRID = 32
 # `table` prints (m_max + 1) (n + 1 + m_max/2) values of up to n + m_max bits.
 # With n + m_max = 700 it took at most 1.6 s (`table 350 350 --format csv`)
-# and 101 MB peak RSS (`table 200 500 --format json`; 37 MB in plain and csv)
-# as a process on a 2-core VM with Python 3.11.7, printing up to 34 MB;
-# `table 0 1000` took 210 MB in json and 67 MB in plain
+# and 37 MB peak RSS in each format (`table 200 500`) as a process on a
+# 2-core VM with Python 3.11.7, printing up to 34 MB; the table of
+# `table 0 1000` took 66-67 MB in each format
 MAX_TABLE_SIZE = 700
 
 
@@ -81,16 +81,20 @@ def _emit(
 ) -> None:
     """Print one result as a JSON document, CSV rows, or plain lines.
 
-    Only the view for ``fmt`` is read, so the others may be lazy:
-    ``json.dumps`` lists any iterator in ``doc``, and ``rows`` and ``lines``
-    are written as they are produced, so a word listing stays streamed.  A
-    plain line is a string, or an iterator of fields written one at a time
+    Only the view for ``fmt`` is read, so the others may be lazy.  The JSON
+    document is written as it is encoded, a hundred chunks at a time, with
+    any iterator in ``doc`` listed; its text is never held whole.  ``rows``
+    and ``lines`` are written as they are produced, so a word listing stays
+    streamed.  A plain line is an iterable of fields, written one at a time
     with a space between them, so a long listing is never joined.
     """
     if fmt == "json":
         import json
 
-        print(json.dumps(doc, default=list))
+        # a write per hundred chunks: one per chunk, as json.dump makes, took
+        # a fifth longer than json.dumps on `table 200 500`
+        chunks = itertools.chain(json.JSONEncoder(default=list).iterencode(doc), ["\n"])
+        sys.stdout.writelines(iter(lambda: "".join(itertools.islice(chunks, 100)), ""))
     elif fmt == "csv":
         import csv
 
@@ -100,9 +104,6 @@ def _emit(
     else:
         write = sys.stdout.write
         for line in lines:
-            if isinstance(line, str):
-                print(line)
-                continue
             fields = iter(line)
             write(next(fields, ""))
             for field in fields:
@@ -123,7 +124,7 @@ def _listing(values: Iterable[int], start: int = 0) -> tuple[Iterable, Iterable,
 def _cmd_compute(args: SimpleNamespace) -> int:
     value = str(inset(args.m, args.n, args.k))
     doc = {"m": args.m, "n": args.n, "k": args.k, "value": value}
-    _emit(args.format, doc, list(doc), [doc.values()], [value])
+    _emit(args.format, doc, list(doc), [doc.values()], [[value]])
     return 0
 
 
@@ -134,7 +135,7 @@ def _cmd_table(args: SimpleNamespace) -> int:
     decimal = (map(str, row) for row in rows)
     doc = {"n": args.n, "m_max": args.m_max, "rows": decimal}
     cells = ((m, k, v) for m, row in enumerate(rows) for k, v in enumerate(row))
-    _emit(args.format, doc, ("m", "k", "value"), cells, map(" ".join, decimal))
+    _emit(args.format, doc, ("m", "k", "value"), cells, zip(map(" ".join, decimal)))
     return 0
 
 
@@ -148,7 +149,7 @@ def _cmd_words(args: SimpleNamespace) -> int:
     if total > WORD_LISTING_GUARD and args.limit is None and not args.force:
         raise ValueError(f"{total} words; pass --limit N or --force to list them")
     shown = itertools.islice(words, args.limit)
-    lines = itertools.chain(shown, [f"count {total}"])
+    lines = itertools.chain(zip(shown), [("count", str(total))])
     _emit(args.format, shown, ("word",), zip(shown), lines)
     return 0
 
@@ -172,13 +173,13 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         ce = r.counterexample
         if ce is None:
             rows.append((r.identity, "PASS", "", "", ""))
-            lines.append(f"PASS {r.identity}")
+            lines.append(("PASS", r.identity))
         else:
             lhs, rhs = str(ce.lhs), str(ce.rhs)
             item["counterexample"] = {"params": ce.params, "lhs": lhs, "rhs": rhs}
             rows.append((r.identity, "FAIL", " ".join(map(str, ce.params)), lhs, rhs))
             params = ", ".join(map(str, ce.params))
-            lines.append(f"FAIL {r.identity} at ({params}): lhs={lhs} rhs={rhs}")
+            lines.append(("FAIL", r.identity, f"at ({params}):", f"lhs={lhs}", f"rhs={rhs}"))
         doc.append(item)
     _emit(args.format, doc, ("identity", "result", "params", "lhs", "rhs"), rows, lines)
     return 0 if all(r.passed for r in reports) else 1
@@ -200,7 +201,7 @@ def _cmd_series(args: SimpleNamespace) -> int:
         if failure is not None:
             idx, expect = failure
             verdict = f"FAIL at power {idx}: got {coeffs[idx]}, expected {expect}"
-        lines = itertools.chain(lines, [verdict])
+        lines = itertools.chain(lines, [(verdict,)])
     _emit(args.format, doc, ("power", "coefficient"), rows, lines)
     return 0 if failure is None else 1
 
@@ -236,9 +237,9 @@ def _cmd_crosscheck(args: SimpleNamespace) -> int:
     reports = [registry.validate(e.key, oeis.load(e.fixture_id, args.fixtures)) for e in entries]
     header = ("key", "fixture", "status", "offset", "agreed")
     rows = [(r.key, r.fixture_id, r.status, r.offset, r.agreed) for r in reports]
-    lines = (f"{r.status} offset={r.offset}" for r in reports)
+    lines = ((r.status, f"offset={r.offset}") for r in reports)
     if args.key == "all":
-        lines = (f"{r.key} {line}" for r, line in zip(reports, lines))
+        lines = ((r.key, *line) for r, line in zip(reports, lines))
     _emit(args.format, (dict(zip(header, row)) for row in rows), header, rows, lines)
     return 0 if all(r.validated for r in reports) else 1
 

@@ -155,13 +155,6 @@ class _Table(dict):
                     row[k] = self.inset_fn(m, n, k)
         return row[lo:hi]
 
-    def cell(self, m: int, n: int, k: int) -> int:
-        """f(m, n, k) for k >= 0."""
-        value = self[m, n][k]
-        if value is _UNREAD:
-            value = self[m, n][k] = self.inset_fn(m, n, k)
-        return value
-
     def grid(self) -> Iterator[tuple[int, int]]:
         """Every (m, n) of the grid in report order: m outer, n inner."""
         return product(range(self.m_max + 1), range(self.n_max + 1))
@@ -246,7 +239,7 @@ def _running_sums(f, span):
         lo, hi = span(m, n)
         row = f.row(m, n, lo, hi)
         if m > 0:
-            row = [*map(add, sums[n], row), row[-1] + sum(f.cell(i, n, hi - 1) for i in range(m))]
+            row = [*map(add, sums[n], row), sum(f.row(i, n, hi - 1, hi)[0] for i in range(m + 1))]
         sums[n] = row
         yield m, n, row
 
@@ -332,7 +325,7 @@ def _check_shifted_window(f):
               for i in range(f.m_max + 1)]
     for m, n in f.grid():
         lo = max(0, n - m)  # m + k >= n
-        lhs = [f.cell(m + k - n, n, k) for k in range(lo, m + n + 3)]
+        lhs = [f.row(m + k - n, n, k, k + 1)[0] for k in range(lo, m + n + 3)]
         # C(n, m-i) C(k+i, k) for i = max(0, m-n)..m
         coeffs = f.pascal[n][min(m, n)::-1]
         cols = zip(*(row[lo:m + n + 3] for row in square[max(0, m - n):m + 1]))
@@ -351,7 +344,7 @@ def _check_parity_shift(f):
                      for p in range(1, n + 1))
         if bad is not None:
             (_, _, k, p), _, _ = bad
-            bad = bad[0], f.cell(m, n - p, k - p), ref[k]
+            bad = bad[0], f.row(m, n - p, k - p, k - p + 1)[0], ref[k]
         yield bad
 
 

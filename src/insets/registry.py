@@ -404,21 +404,21 @@ def _build_catalog() -> tuple[list[SequenceEntry], dict[str, tuple[str, int]]]:
         SequenceEntry(
             "walk_variance",
             "A072819",
-            "inset(1,m+3,m): variance of the exit time of a symmetric walk from [-m-2, m+2]",
+            "inset(1,m+3,m): variance of the time a symmetric walk from 0 takes to reach +-(m+2)",
             _line(lambda m: (1, m + 3, m)),
             closed_form=lambda m: exact_div(2 * (m + 2) ** 2 * ((m + 2) ** 2 - 1), 3),
         ),
         SequenceEntry(
             "hyperbola_regions",
             "A058331",
-            "inset(3,m,m+1) = 2(m+1)^2 + 1: plane regions from m hyperbolas",
+            "inset(3,m,m+1) = 2(m+1)^2 + 1: plane regions from m+1 hyperbolas",
             _line(lambda m: (3, m, m + 1)),
             closed_form=lambda m: 2 * (m + 1) * (m + 1) + 1,
         ),
         SequenceEntry(
             "dyck_two_levels",
             "A176479",
-            "inset(n+1,n-1,n): Dyck paths with n peaks at level 1 and n at level 2",
+            "inset(n+1,n-1,n): Dyck paths whose peaks are n at level 1 and n at level 2",
             _recurrence("dyck_two_levels", lambda n: inset(n + 1, n - 1, n)),
             start=1,
         ),

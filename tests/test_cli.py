@@ -332,9 +332,11 @@ def test_crosscheck_mismatching_fixture(tmp_path):
     assert "provisional" in result.stdout
 
 
-def test_closed_stdout_ends_the_call_quietly():
-    # a reader that stops after 10 bytes of a table of several MB
-    argv = [sys.executable, "-m", "insets", "table", "300", "300"]
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_closed_stdout_ends_the_call_quietly(fmt):
+    # a reader that stops after 10 bytes of a table of several MB; json then
+    # fails in the middle of its document, not at one final write
+    argv = [sys.executable, "-m", "insets", "table", "300", "300", "--format", fmt]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
         assert len(child.stdout.read(10)) == 10
         child.stdout.close()
@@ -473,10 +475,14 @@ def _peak_rss(out_path, *args):
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_seq_listing_streams(tmp_path):
-    # 6000 terms of up to 4600 digits, 13.8 MB of text.  json keeps its
-    # document, every decimal string and then the whole text, as plain and
-    # csv did before they streamed; they must now peak at half of it at most
+    # 6000 terms of up to 4600 digits, 13.8 MB of text.  No format holds that
+    # text: plain and csv write each term as they convert it, and json writes
+    # its document as it encodes it, holding only the list of decimal strings
+    # that ``default=list`` makes of the listing (about 14, 14 and 28.5 MB
+    # against 14 MB for `compute 0 0 0`; json took 54 MB when it built its
+    # text first, and a plain writer that joins the listing takes over 40 MB)
     args = ("seq", "central_delannoy", "6000", "--format")
+    _, baseline = _peak_rss(tmp_path / "baseline", "compute", "0", "0", "0")
     peaks = {}
     for fmt in ("plain", "csv", "json"):
         status, peaks[fmt] = _peak_rss(tmp_path / fmt, *args, fmt)
@@ -494,17 +500,21 @@ def test_seq_listing_streams(tmp_path):
     rows = "".join(f"{i},{d}\n" for i, d in enumerate(digits, piece.start))
     assert (tmp_path / "csv").read_text() == "index,value\n" + rows
     assert json.loads((tmp_path / "json").read_text())["values"] == digits
-    assert peaks["plain"] <= peaks["json"] / 2, peaks
-    assert peaks["csv"] <= peaks["json"] / 2, peaks
+    text_kb = (tmp_path / "plain").stat().st_size / 1024  # ru_maxrss is in KiB
+    assert peaks["json"] <= baseline + 1.5 * text_kb, (baseline, text_kb, peaks)
+    assert peaks["plain"] <= baseline + text_kb / 4, (baseline, text_kb, peaks)
+    assert peaks["csv"] <= baseline + text_kb / 4, (baseline, text_kb, peaks)
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_table_keeps_one_copy_of_its_values(tmp_path):
-    # 100,701 values of up to 700 bits, 32 MB of text.  json keeps its
-    # document and then the whole text; plain and csv convert each row as
-    # they write it, so only the int rows stay (37 MB against 101 MB, where
-    # keeping every value as a string too took 81 MB against 131 MB)
+    # 100,701 values of up to 700 bits, 32 MB of text.  Every format keeps
+    # only the int rows and converts each row as it writes it: about 37 MB in
+    # each, against 14 MB for `compute 0 0 0` (json took 101 MB when it
+    # built its text first, and keeping every value as a string too took
+    # 81 MB in plain and csv)
     args = ("table", "200", "500", "--format")
+    _, baseline = _peak_rss(tmp_path / "baseline", "compute", "0", "0", "0")
     peaks = {}
     for fmt in ("plain", "csv", "json"):
         status, peaks[fmt] = _peak_rss(tmp_path / fmt, *args, fmt)
@@ -514,8 +524,10 @@ def test_table_keeps_one_copy_of_its_values(tmp_path):
     cells = "".join(f"{m},{k},{v}\n" for m, row in enumerate(rows) for k, v in enumerate(row))
     assert (tmp_path / "csv").read_text() == "m,k,value\n" + cells
     assert json.loads((tmp_path / "json").read_text()) == {"n": 200, "m_max": 500, "rows": rows}
-    assert peaks["plain"] <= peaks["json"] / 2, peaks
-    assert peaks["csv"] <= peaks["json"] / 2, peaks
+    text_kb = (tmp_path / "plain").stat().st_size / 1024  # ru_maxrss is in KiB
+    assert peaks["plain"] <= baseline + text_kb, (baseline, text_kb, peaks)
+    assert peaks["csv"] <= baseline + text_kb, (baseline, text_kb, peaks)
+    assert peaks["json"] <= peaks["plain"] + 5 * 1024, (baseline, text_kb, peaks)
 
 
 _FOOTPRINT = """

@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -507,21 +508,34 @@ def _ccc_maximum_cliques(n):
         cliques = larger
 
 
-@pytest.mark.parametrize(
-    "key,count,described",
-    [
-        ("partial_self_maps", _partial_self_maps, "partial self-maps of an (m+1)-set"),
-        ("schroeder_peaks", _schroeder_peaks, "Schroeder paths of semilength m+1"),
-        ("turan_triangles", _turan_triangles, "with m+1 parts of size 1"),
-    ],
-    ids=["partial_self_maps", "schroeder_peaks", "turan_triangles"],
-)
-def test_description_states_the_counted_size(key, count, described):
-    # term m counts the configurations of size m + 1, as the description says
+def _hyperbola_regions(count):
+    """Regions of the plane cut by ``count`` hyperbolas in general position.
+    Each hyperbola has two branches, unbounded curves; two hyperbolas meet in
+    4 points (Bezout).  A branch that crosses the curves already drawn c
+    times is cut into c + 1 arcs, and each arc splits one region in two."""
+    regions = 1
+    for drawn in range(count):
+        regions += 4 * drawn + 2  # two branches, 4 crossings with each drawn one
+    return regions
+
+
+# Entries whose term m counts configurations of size m + 1, as the description
+# says: key -> (counter by size, the description's last words)
+_DESCRIBED_SIZES = {
+    "partial_self_maps": (_partial_self_maps, "partial self-maps of an (m+1)-set"),
+    "schroeder_peaks": (_schroeder_peaks, "Schroeder paths of semilength m+1"),
+    "turan_triangles": (_turan_triangles, "with m+1 parts of size 1"),
+    "hyperbola_regions": (_hyperbola_regions, "plane regions from m+1 hyperbolas"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_DESCRIBED_SIZES))
+def test_description_states_the_counted_size(key):
+    count, described = _DESCRIBED_SIZES[key]
     entry = get_entry(key)
     assert entry.description.endswith(described)
-    terms = itertools.islice(entry.terms(entry.start), 5)
-    assert list(terms) == [count(m + 1) for m in range(entry.start, entry.start + 5)]
+    terms = itertools.islice(entry.terms(entry.start), 6)
+    assert list(terms) == [count(m + 1) for m in range(entry.start, entry.start + 6)]
 
 
 def test_ccc_cliques_description_holds_from_n_4():
@@ -543,6 +557,69 @@ def _bishop_moves(n):
     )
 
 
+@functools.cache
+def _lee_ball(dim, radius):
+    """Points x of Z^dim with |x_1| + ... + |x_dim| <= radius, counted one
+    coordinate at a time: x_1 = 0, or +-j for j <= radius, leaves the rest
+    of the radius to the other dim - 1 coordinates."""
+    if dim == 0:
+        return 1
+    return _lee_ball(dim - 1, radius) + 2 * sum(
+        _lee_ball(dim - 1, radius - j) for j in range(1, radius + 1)
+    )
+
+
+def _dyck_two_levels(n):
+    """Dyck paths (steps U and D, never below the axis) whose peaks are n at
+    level 1 and n at level 2.  Such a path never climbs past level 2, so any
+    five steps in a row hold a peak, and the paths are grown step by step
+    until they have too many peaks, and kept when they end on the axis."""
+
+    def paths(path, height, level_1, level_2):
+        if height == 0 and (level_1, level_2) == (n, n):
+            yield path
+        if level_1 > n or level_2 > n:
+            return
+        if height < 2:
+            yield from paths(path + "U", height + 1, level_1, level_2)
+        if height > 0:
+            peak = path.endswith("U")
+            yield from paths(path + "D", height - 1, level_1 + (peak and height == 1),
+                             level_2 + (peak and height == 2))
+
+    return sum(1 for _ in paths("", 0, 0, 0))
+
+
+def _fibonacci(index):
+    """F(index), index >= 2: binary words of length index - 2 with no two
+    adjacent 1s."""
+    words = itertools.product("01", repeat=index - 2)
+    return sum("11" not in "".join(word) for word in words)
+
+
+def _exit_time_variance(bound):
+    """Var T, T the first time a symmetric +-1 walk from 0 is at +-bound:
+    E[T] and E[T^2] at each start x solve first-step equations, which are
+    solved here exactly, by elimination from x = -bound up."""
+
+    def solve(rhs):
+        # v(x) = rhs(x) + (v(x-1) + v(x+1)) / 2 for |x| < bound, v(+-bound) = 0;
+        # each v(x) = a + b v(x+1) in turn, from v(-bound) = 0 + 0 v(-bound+1)
+        a, b = [Fraction(0)], [Fraction(0)]
+        for x in range(-bound + 1, bound):
+            pivot = 1 - b[-1] / 2
+            a.append((rhs(x) + a[-1] / 2) / pivot)
+            b.append(Fraction(1, 2) / pivot)
+        v = [Fraction(0)]  # v(bound), then down to v(-bound + 1)
+        for ai, bi in zip(reversed(a[1:]), reversed(b[1:])):
+            v.append(ai + bi * v[-1])
+        return dict(zip(range(bound, -bound, -1), v)) | {-bound: Fraction(0)}
+
+    mean = solve(lambda x: 1)
+    square = solve(lambda x: 1 + mean[x - 1] + mean[x + 1])  # E[(1 + T')^2]
+    return square[0] - mean[0] ** 2
+
+
 # Entries whose described configuration a counter of insets.oracles or of this
 # module counts: key -> (the count for term i, from the entry's start on; how
 # many terms to compare).  delannoy compares its antidiagonals d <= 5.
@@ -562,6 +639,10 @@ _COUNTED = {
     "delannoy": (lambda i: (lambda d, j: delannoy_paths(j, d - j))(*_antidiagonal(i)), 21),
     "weak_comp_2zeros": (lambda n: weak_compositions_with_zeros(n + 1, 2), 6),
     "bishop_moves": (_bishop_moves, 6),
+    "lee_sphere": (lambda n: _lee_ball(n, n * n), 7),
+    "dyck_two_levels": (_dyck_two_levels, 6),
+    "fibonacci": (lambda m: _fibonacci(m + 3), 6),
+    "walk_variance": (lambda m: _exit_time_variance(m + 2), 6),
 }
 
 
@@ -579,16 +660,33 @@ NO_CONFIGURATION = {
     "even_squares_sum": "names a family of numbers, the sums of the first even squares",
     "sulanke_even": "names an array of inset cells; test_sulanke_grid_counts_words counts them",
     "sulanke_odd": "names the array of sulanke_even, read from its first odd cell",
+    "squares": "names a family of numbers, the squares",
+    "square_pyramidal": "names a family of numbers, the square pyramidal numbers",
+    "pyramidal_4d": "names a family of numbers, the four-dimensional pyramidal numbers",
+    "octahedral": "names a family of numbers, the octahedral numbers",
+    "centered_polygonal_4d": "names a family of numbers, by their closed form",
+    "squares_convolution": "names a convolution of numbers, the squares with themselves",
+    "catalan_scaled": "names a family of numbers, (3k+2) times the Catalan numbers",
+    "dyck_central_peak": "names a family of numbers, twice the squares",
+    "dyck_pyramid_weight": (
+        "names no family of Dyck paths: the total pyramid weight over all paths"
+        " of semilength n, or over those of height <= 2, is another sequence"
+    ),
+    "asymmetric_delannoy": "names an array of inset cells, read by antidiagonals",
+    "lucas_triangle": "names a triangle of numbers; test_lucas_triangle_rows checks its rows",
+    "braun_hough_cells": (
+        "counts cells of complexes these tests do not build;"
+        " test_braun_hough_cells_lie_in_the_support checks where its cells lie"
+    ),
 }
 
 
-def test_shared_streams_are_counted_or_excused():
-    # each entry of a stream that the catalog reads twice has a counter row
-    # or a reason to have none (ROADMAP item 11)
-    shared = set(_READINGS) | {stream for stream, _ in _READINGS.values()}
-    assert len(shared) == 12
-    assert shared <= set(_COUNTED) | set(NO_CONFIGURATION)
-    assert not set(_COUNTED) & set(NO_CONFIGURATION)
+def test_every_entry_is_counted_or_excused():
+    # each catalog entry has a counter, or a reason to have none (ROADMAP
+    # item 11), and never both
+    counted = [set(_COUNTED), set(_DESCRIBED_SIZES), {"ccc_cliques"}, set(NO_CONFIGURATION)]
+    assert set().union(*counted) == {entry.key for entry in list_entries()}
+    assert sum(map(len, counted)) == len(list_entries()) == 40
 
 
 def test_oracles_reach_no_inset_formula():
