@@ -11,6 +11,11 @@ walks the heads in lex order, pruned by the remaining budget of 2s, and
 joins each head to the tails that complete its count, all of a head's words
 in one ``str.join``.  The exhaustive filter over all 3^(m+n) raw words
 survives as :func:`count_bruteforce`, the independent test oracle.
+
+Only the oracle has a cap, BRUTEFORCE_CAP on m + n, since its work is
+3^(m+n) whatever it returns.  A listing is lazy and has none: how much of
+it to print is the CLI's policy, stated in the ``words`` row of
+``cli._GRAMMAR``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .errors import CapExceededError
 
 __all__ = _EXPORTS["words"]
 
-ENUMERATION_CAP = 20
 # the last TAIL_LENGTH letters come from a per-call table of at most 3^8 tails
 TAIL_LENGTH = 8
 BRUTEFORCE_CAP = 14
@@ -38,14 +42,17 @@ def _check_constraint(m: int, n: int, k: int) -> None:
 def iter_words(m: int, n: int, k: int) -> Iterator[str]:
     """Iterate over the satisfying words in lexicographic order (0 < 1 < 2).
 
-    Yields inset(m, n, k) words.  The arguments are checked at the call, not
-    at the first ``next()``: raises ValueError for a negative argument and
-    CapExceededError when m + n exceeds ENUMERATION_CAP.
+    Yields inset(m, n, k) words, lazily: past a table of at most
+    3^TAIL_LENGTH tails, a head's words are built only when the first of
+    them is read, so the start of a listing is cheap at any length.  The
+    arguments are checked at the call, not at the first ``next()``: raises
+    ValueError for a negative argument.  The one limit left is the stack:
+    ``_heads`` recurses once per letter before the last TAIL_LENGTH, and
+    with Python 3.11.7's default recursion limit the first ``next()``
+    worked at m + n = 1000 and raised RecursionError at 1100.
     """
     _check_constraint(m, n, k)
     total = m + n
-    if total > ENUMERATION_CAP:
-        raise CapExceededError(f"word length {total} exceeds enumeration cap {ENUMERATION_CAP}")
     alphabets = ["12" if pos < m else "012" for pos in range(total)]
     split = max(0, total - TAIL_LENGTH)
     # tails[j]: the lex-sorted tails holding j 2s; product yields lex order
@@ -54,13 +61,10 @@ def iter_words(m: int, n: int, k: int) -> Iterator[str]:
         tail = "".join(letters)
         tails[tail.count("2")].append(tail)
     heads = _heads(alphabets[:split], k - (total - split), k)
-    # one join and one split per head build its words; the guard keeps a
-    # head with no tails from yielding itself (no group is empty while every
-    # tail alphabet holds a 1 and a 2)
+    # one join and one split per head build its words; no group tails[j] is
+    # empty, since every tail alphabet holds a 2 and a letter that is not
     return itertools.chain.from_iterable(
-        (head + ("\n" + head).join(tails[k - twos])).split("\n")
-        for head, twos in heads
-        if tails[k - twos]
+        (head + ("\n" + head).join(tails[k - twos])).split("\n") for head, twos in heads
     )
 
 
@@ -85,8 +89,8 @@ def _heads(
 def enumerate_words(m: int, n: int, k: int) -> list[str]:
     """All satisfying words in lexicographic order, as a list.
 
-    The list length equals inset(m, n, k).  Raises CapExceededError when
-    m + n exceeds ENUMERATION_CAP.
+    The list length equals inset(m, n, k), so it is held whole: a caller
+    that wants a few words of a long listing reads :func:`iter_words`.
     """
     return list(iter_words(m, n, k))
 

@@ -82,7 +82,8 @@ def test_words_limit():
 def test_words_guard_on_large_listing():
     result = run_cli("words", "0", "10", "3")
     assert result.returncode == 2
-    assert "force" in result.stderr
+    assert result.stdout == ""
+    assert result.stderr == "error: word count without --limit exceeds 10000\n"
     limited = run_cli("words", "0", "10", "3", "--limit", "3")
     assert limited.returncode == 0
     assert limited.stdout.splitlines()[-1] == "count 15360"
@@ -182,9 +183,18 @@ def test_table_at_size_budget_runs(capsys):
 
 
 # For each size limit of _GRAMMAR, calls whose measure for that limit is v
-# and whose other measures stay small
+# and whose other measures stay small.  No cell with m + n <= 20 has 10,000
+# or 10,001 words, so the word count takes the nearest cells on each side,
+# (1, 9, 3) with 9,984 words and (6, 7, 8) with 10,128, and the two the README
+# names, (16, 4, 16) with 9,708 and (0, 10, 3) with 15,360
 _AT_LIMIT = {
     ("table", "n + m_max"): lambda v: (f"{v} 0", f"0 {v}", f"{v - 300} 300"),
+    ("words", "word length"): lambda v: (
+        f"{v} 0 0 --limit 1", f"0 {v} 3 --limit 2", f"{v - 10} 10 {v}"
+    ),
+    ("words", "word count without --limit"): lambda v: (
+        ("6 7 8", "0 10 3") if v > cli.WORD_LISTING_GUARD else ("1 9 3", "16 4 16")
+    ),
     ("verify", "grid bound"): lambda v: (f"all {v} 0", f"pascal 0 {v}", f"all {v} {v}"),
     ("series", "order"): lambda v: (f"k 0 0 {v}", f"m 3 2 {v} --check"),
     ("series", "a or b"): lambda v: (f"k {v} 0 5", f"n 0 {v} 5", f"m {v} {v} 5"),
@@ -382,19 +392,17 @@ def test_determinism():
 
 def test_words_cap_refused_before_any_output(capsys):
     assert cli.main(["words", "11", "10", "3", "--limit", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "exceeds enumeration cap" in captured.err
+    assert capsys.readouterr() == ("", "error: word length exceeds 20\n")
 
 
 def test_words_over_cap_refused_before_counting(capsys):
-    # inset(10**5, 10**5, 10**5) alone takes seconds; the cap must refuse first
-    start = time.perf_counter()
-    assert cli.main(["words", "100000", "100000", "100000", "--limit", "1"]) == 2
-    assert time.perf_counter() - start < 0.5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "exceeds enumeration cap" in captured.err
+    # inset(10**5, 10**5, 10**5) alone takes seconds; the length row comes
+    # before the count row, so the count is never computed
+    for limit in ([], ["--limit", "1"]):
+        start = time.perf_counter()
+        assert cli.main(["words", "100000", "100000", "100000", *limit]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr() == ("", "error: word length exceeds 20\n")
 
 
 def test_words_limit_runs_in_bounded_memory(capsys):
@@ -433,6 +441,7 @@ class _HashingSink:
 
 @pytest.mark.parametrize("fmt,header", [("plain", ""), ("csv", "word\n")])
 def test_forced_listing_streams(fmt, header):
+    # a listing past the guard, asked for by a --limit of at least its count
     words = enumerate_words(0, 12, 6)
     body = "".join(w + "\n" for w in words)
     expected = header + body + ("count 59136\n" if fmt == "plain" else "")
@@ -442,7 +451,7 @@ def test_forced_listing_streams(fmt, header):
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
-            status = cli.main(["words", "0", "12", "6", "--force", "--format", fmt])
+            status = cli.main(["words", "0", "12", "6", "--limit", "59136", "--format", fmt])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

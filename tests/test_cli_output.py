@@ -33,6 +33,9 @@ GOLDEN = [
     ("words 0 3 2 --limit 2", "json", 0, '["022", "122"]\n'),
     ("words 0 3 2 --limit 2", "csv", 0, "word\n022\n122\n"),
     ("words 0 0 0", "csv", 0, 'word\n""\n'),
+    # the largest --limit islice takes
+    ("words 0 3 2 --limit 9223372036854775807", "plain", 0,
+     "022\n122\n202\n212\n220\n221\ncount 6\n"),
     ("verify all 3 3", "plain", 0, "".join(f"PASS {name}\n" for name in _NAMES)),
     ("verify all 3 3", "json", 0, f"[{_VERIFY_JSON}]\n"),
     ("verify all 3 3", "csv", 0,
@@ -312,6 +315,30 @@ _USAGE_ERRORS = [
     "seq fibonacci",
     "crosscheck all --fixtures",
 ]
+
+
+_USAGE = {
+    "words": "usage: insets words [-h] [--format {plain,json,csv}] [--limit LIMIT] m n k\n",
+    "seq": "usage: insets seq [-h] [--format {plain,json,csv}] key count\n",
+}
+
+
+@pytest.mark.parametrize("spelling", ([], ["--format=csv"]))
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        ("words 0 3 2 --limit 99999999999999999999", "insets words: error: argument --limit"),
+        ("seq fibonacci 99999999999999999999", "insets seq: error: argument count"),
+    ],
+)
+def test_count_above_maxsize_is_a_usage_error(monkeypatch, capsys, argv, line, spelling):
+    # islice takes no stop above sys.maxsize, so the converter refuses one
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv.split(), *spelling])
+    assert exc.value.code == 2
+    usage = _USAGE[argv.split()[0]]
+    assert capsys.readouterr() == ("", f"{usage}{line}: must be at most 9223372036854775807\n")
 
 
 def test_usage_error_text(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -76,11 +77,6 @@ def test_is_satisfying(word, constraint, expected):
     assert is_satisfying(word, *constraint) is expected
 
 
-def test_enumeration_cap():
-    with pytest.raises(CapExceededError):
-        enumerate_words(11, 10, 3)
-
-
 def test_bruteforce_cap():
     with pytest.raises(CapExceededError):
         count_bruteforce(8, 7, 3)
@@ -104,8 +100,23 @@ def test_enumerated_words_satisfy(m, n, k):
 def test_iter_words_checks_arguments_at_the_call():
     with pytest.raises(ValueError):
         iter_words(1, 2, -1)
-    with pytest.raises(CapExceededError):
-        iter_words(11, 10, 3)
+
+
+def test_iter_words_streams_past_length_20():
+    # no cap: a listing's work follows what is read, so the start of one is
+    # cheap at any length the recursion of _heads reaches
+    start = time.perf_counter()
+    first = list(itertools.islice(iter_words(30, 30, 10), 1000))
+    assert time.perf_counter() - start < 0.1
+    assert len(first) == 1000
+    assert all(is_satisfying(w, 30, 30, 10) for w in first)
+    assert all(a < b for a, b in zip(first, first[1:]))
+    # the lex-smallest: the m places 1s, then 0s, then the k 2s at the end
+    assert first[0] == "1" * 30 + "0" * 20 + "2" * 10
+    # at length 900 the next two raise the last 0 to 1, then to 2
+    head = "1" * 450 + "0" * 149
+    expected = [head + "0" + "2" * 300, head + "1" + "2" * 300, head + "20" + "2" * 299]
+    assert list(itertools.islice(iter_words(450, 450, 300), 3)) == expected
 
 
 @pytest.mark.parametrize("total", range(10))
