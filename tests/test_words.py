@@ -103,8 +103,8 @@ def test_iter_words_checks_arguments_at_the_call():
 
 
 def test_iter_words_streams_past_length_20():
-    # no cap: a listing's work follows what is read, so the start of one is
-    # cheap at any length the recursion of _heads reaches
+    # no cap and no recursion: a listing's work follows what is read, so the
+    # start of one is cheap at any length
     start = time.perf_counter()
     first = list(itertools.islice(iter_words(30, 30, 10), 1000))
     assert time.perf_counter() - start < 0.1
@@ -117,11 +117,17 @@ def test_iter_words_streams_past_length_20():
     head = "1" * 450 + "0" * 149
     expected = [head + "0" + "2" * 300, head + "1" + "2" * 300, head + "20" + "2" * 299]
     assert list(itertools.islice(iter_words(450, 450, 300), 3)) == expected
+    # length 4000 is past the default recursion limit; the heads are walked on a stack
+    head = "1" * 2000 + "0" * 1699
+    expected = [head + "0" + "2" * 300, head + "1" + "2" * 300, head + "20" + "2" * 299]
+    assert list(itertools.islice(iter_words(2000, 2000, 300), 3)) == expected
 
 
-@pytest.mark.parametrize("total", range(10))
+@pytest.mark.parametrize("total", range(11))
 def test_exact_lexicographic_order(total):
-    # the tail holds the last 8 letters, so totals 8 and 9 give heads of length 0 and 1
+    # the tail holds the last 8 letters, so totals 8, 9 and 10 give heads of
+    # length 0, 1 and 2: total 10 is the first where the stack order of the
+    # head walk and its pruning act across more than one head letter
     raw = list(map("".join, itertools.product("012", repeat=total)))
     for m in range(total + 1):
         n = total - m
