@@ -14,16 +14,28 @@ agree with the inset route term by term.  :func:`validate` takes that
 fixture already parsed, an ``oeis.BFile``, so this module never imports
 the fixture reader and ``insets seq`` does not load it.
 
+The catalog is one ordered table, ``_TABLE``.  32 of its 40 entries read one
+cell per index along a line, (a*i + b, c*i + d, e*i + f) at index i, and
+each states that cell once, as a row: key, fixture, index letter, the
+coefficients (a, b, c, d, e, f), the description's words after the cell,
+start and closed form.  The builder prints the description's ``inset(...)``
+prefix from the coefficients, so the text cannot disagree with the cell, and
+a key of ``_RECURRENCES`` walks its row from inset at that cell.  The three
+``coordination_Z*`` rows read (0, d, d) at index 0, the ball of radius 0.
+The eight other entries are written out whole in the table.
+
 The 40 entries hold 34 streams: six entries are readings of an earlier
-entry's stream, and each states only its key, description, start and closed
-form.  Its term i is that entry's term i + shift, and its fixture is that
-entry's; ``_READINGS`` records each as key -> (stream key, shift):
-``sulanke_odd`` reads ``sulanke_even`` from index 1, ``crystal_ball_Z1``,
-``Z2`` and ``Z3`` read ``odd_numbers``, ``centered_square`` and
-``centered_octahedral``, ``octahedron_surface`` reads ``coordination_Z3``
-shifted by 1, and ``even_squares_sum`` reads ``bishop_moves`` shifted by 2.
-:func:`validate` still validates each reading on its own, so each report
-keeps its own offset.
+entry's stream.  Its term i is that entry's term i + shift, and its fixture
+is that entry's.  A row with no fixture is a reading, and its source is
+found from the coefficients at import: the earlier row whose line holds the
+reading's cells at a shift s >= 0.  That finds ``crystal_ball_Z1``, ``Z2``
+and ``Z3`` on ``odd_numbers``, ``centered_square`` and
+``centered_octahedral``, ``octahedron_surface`` on ``coordination_Z3``
+shifted by 1, and ``even_squares_sum`` on ``bishop_moves`` shifted by 2.
+Only ``sulanke_odd``, which reads ``sulanke_even`` from index 1, is
+declared by hand.  ``_READINGS`` records all six as key -> (stream key,
+shift).  :func:`validate` still validates each reading on its own, so each
+report keeps its own offset.
 
 Alignment against fixtures is discovered, not transcribed: several named
 sequences are known to sit at a shifted index relative to their customary
@@ -179,264 +191,184 @@ def _antidiagonals(cell: Callable[[int, int], tuple[int, int, int]]) -> Terms:
     return _rows(lambda d: range(d + 1), cell)
 
 
-def _build_catalog() -> tuple[list[SequenceEntry], dict[str, tuple[str, int]]]:
-    """The entries in order, and the readings: key -> (stream key, shift)."""
-    readings: dict[str, tuple[str, int]] = {}
+def _affine(a: int, b: int, index: str) -> str:
+    """a*index + b as a description prints it: 2k, m+1, n-2, 3."""
+    if not a:
+        return str(b)
+    return (index if a == 1 else f"{a}{index}") + (f"{b:+d}" if b else "")
 
-    def reading(
-        key: str, stream: str, shift: int, description: str,
-        start: int = 0, closed_form: Callable[[int], int] | None = None,
-    ) -> SequenceEntry:
-        """A second reading of the earlier entry ``stream``: its term i is that
-        entry's term i + shift, and its fixture is that entry's."""
-        source = next(e for e in entries if e.key == stream)
-        readings[key] = (stream, shift)
+
+def _shift(cell: tuple[int, ...], line: tuple[int, ...]) -> int | None:
+    """The s >= 0 with cell(i) == line(i + s) for every i, else None; each is
+    (a, b, c, d, e, f), the cell (a*i + b, c*i + d, e*i + f) at index i."""
+    slopes, gaps = cell[::2], [x - y for x, y in zip(cell[1::2], line[1::2])]
+    if slopes != line[::2]:
+        return None
+    s = next((gap // a for gap, a in zip(gaps, slopes) if a), 0)
+    return s if s >= 0 and gaps == [a * s for a in slopes] else None
+
+
+_sulanke = _antidiagonals(lambda d, j: (d // 2, d - d // 2, j))
+_GRID = "parity-split grid read by antidiagonals, anchored on the "
+_BALL = ": lattice points with |x|_1 <= m in Z^"
+_SPHERE = ": lattice points with |x|_1 = m in Z^"
+
+# The catalog in order.  A row, built by _from_row, is (key, fixture or None
+# for a reading, index letter, (a, b, c, d, e, f), the description's words
+# after the cell, start, closed form); the eight entries that read no line
+# of cells are written out whole.
+_TABLE = [
+    ("odd_numbers", "A005408", "m", (1, 0, 0, 1, 0, 1), ": odd numbers 2m+1",
+     0, lambda m: 2 * m + 1),
+    ("squares", "A000290", "m", (1, 0, 0, 1, 0, 2), ": perfect squares m^2",
+     0, lambda m: m * m),
+    ("square_pyramidal", "A000330", "m", (1, 0, 0, 1, 0, 3), ": square pyramidal numbers, shifted",
+     0, lambda m: exact_div((m - 1) * m * (2 * m - 1), 6)),
+    ("pyramidal_4d", "A002415", "m", (1, 0, 0, 1, 0, 4),
+     ": four-dimensional pyramidal numbers, shifted",
+     0, lambda m: exact_div((m - 1) ** 2 * ((m - 1) ** 2 - 1), 12)),
+    ("centered_square", "A001844", "m", (1, 0, 0, 2, 0, 2), ": centered squares m^2 + (m+1)^2",
+     0, lambda m: m * m + (m + 1) * (m + 1)),
+    ("octahedral", "A005900", "m", (1, 0, 0, 2, 0, 3), ": octahedral numbers m(2m^2+1)/3",
+     0, lambda m: exact_div(m * (2 * m * m + 1), 3)),
+    ("centered_octahedral", "A001845", "m", (1, 0, 0, 3, 0, 3),
+     ": centered octahedral numbers (2m+1)(2m^2+2m+3)/3",
+     0, lambda m: exact_div((2 * m + 1) * (2 * m * m + 2 * m + 3), 3)),
+    ("centered_polygonal_4d", "A006325", "m", (1, 0, 0, 2, 0, 4),
+     ": 4-dimensional centered polygonal analog m(m-1)(m^2-m+1)/6",
+     0, lambda m: exact_div(m * (m - 1) * (m * m - m + 1), 6)),
+    ("dyck_pyramid_weight", "A001793", "n", (0, 1, 1, 0, 0, 2),
+     ": n(n+3)2^(n-3); pyramid weight of Dyck paths",
+     0, lambda n: exact_div(n * (n + 3) * (1 << n), 8)),
+    ("bishop_moves", "A002492", "n", (0, 1, 1, 0, 1, -2),
+     ": bishop moves on the n x n board, n >= 2",
+     2, lambda n: exact_div(2 * n * (2 * n - 1) * (n - 1), 3)),
+    ("squares_convolution", "A033455", "m", (1, 0, 0, 2, 0, 5),
+     ": convolution of nonzero squares with themselves, shifted",
+     0, lambda m: exact_div((m - 1) * ((m - 1) ** 4 - 1), 30)),
+    SequenceEntry(
+        "delannoy",
+        "A008288",
+        "Delannoy square D(m,n) = inset(m,n,n), read by antidiagonals",
+        _antidiagonals(lambda d, j: (j, d - j, d - j)),
+    ),
+    ("central_delannoy", "A001850", "n", (1, 0, 1, 0, 1, 0), ": central Delannoy numbers", 0, None),
+    SequenceEntry(
+        "asymmetric_delannoy",
+        "A049600",
+        "asymmetric Delannoy square inset(m,n,m), read by antidiagonals",
+        _antidiagonals(lambda d, j: (j, d - j, j)),
+    ),
+    ("catalan_scaled", "A051960", "k", (2, 0, 0, 1, 1, 0), " = (3k+2) * Catalan(k)", 0, None),
+    SequenceEntry(
+        "fibonacci",
+        "A000045",
+        "sum_i inset(m-i,1,i) over i <= (m+1)/2: Fibonacci F(m+3)",
+        _recurrence("fibonacci", fibonacci_by_insets),
+    ),
+    SequenceEntry("sulanke_even", "A064861", _GRID + "even corner", _sulanke),
+    # a reading declared by hand: the array is on no line of cells
+    SequenceEntry("sulanke_odd", "A064861", _GRID + "first odd cell", _sulanke, start=1),
+    ("crystal_ball_Z1", None, "m", (1, 0, 0, 1, 0, 1), _BALL + "1", 0, None),
+    ("crystal_ball_Z2", None, "m", (1, 0, 0, 2, 0, 2), _BALL + "2", 0, None),
+    ("crystal_ball_Z3", None, "m", (1, 0, 0, 3, 0, 3), _BALL + "3", 0, None),
+    ("crystal_ball_Z4", "A001846", "m", (1, 0, 0, 4, 0, 4), _BALL + "4", 0, None),
+    ("crystal_ball_Z5", "A001847", "m", (1, 0, 0, 5, 0, 5), _BALL + "5", 0, None),
+    # coordination rows read (0, d, d) at index 0: the ball of radius 0
+    ("coordination_Z3", "A005899", "m", (1, -1, 0, 3, 0, 2), _SPHERE + "3", 0, None),
+    ("coordination_Z4", "A008412", "m", (1, -1, 0, 4, 0, 3), _SPHERE + "4", 0, None),
+    ("coordination_Z5", "A008413", "m", (1, -1, 0, 5, 0, 4), _SPHERE + "5", 0, None),
+    SequenceEntry(
+        "lucas_triangle",
+        "A029653",
+        "rows inset(m,1,k), k = 0..m+1: the (2,1) Pascal triangle",
+        _rows(lambda m: range(m + 2), lambda m, k: (m, 1, k)),
+    ),
+    ("weak_comp_2zeros", "A058396", "n", (0, 3, 1, 0, 0, 2),
+     ": weak compositions of n+1 with exactly two zero parts",
+     0, lambda n: exact_div((n * n + 11 * n + 24) * (1 << n), 8)),
+    ("turan_triangles", "A000297", "m", (1, 1, 0, 2, 1, 0),
+     ": triangles in the complete multipartite graph K(2,2,1,...,1) with m+1 parts of size 1",
+     0, lambda m: binomial(m + 5, 3) - 2 * (m + 3)),
+    ("octahedron_surface", None, "m", (1, 0, 0, 3, 0, 2),
+     ": points on the octahedron surface 4(m+1)^2 + 2", 0, lambda m: 4 * (m + 1) * (m + 1) + 2),
+    ("ccc_cliques", "A167667", "n", (1, 0, 1, 0, 0, 1),
+     " = 3n 2^(n-1): maximum cliques in cube-connected cycles CCC(n), n >= 4",
+     0, lambda n: exact_div(3 * n * (1 << n), 2)),
+    ("schroeder_peaks", "A002002", "m", (1, 0, 1, 1, 1, 1),
+     ": peaks in all Schroeder paths of semilength m+1", 0, None),
+    ("partial_self_maps", "A002003", "m", (1, 0, 1, 1, 1, 0),
+     ": order-preserving partial self-maps of an (m+1)-set", 0, None),
+    ("dyck_central_peak", "A001105", "m", (0, 1, 1, 1, 1, 0), " = 2(m+1)^2",
+     0, lambda m: 2 * (m + 1) * (m + 1)),
+    ("even_squares_sum", None, "m", (0, 1, 1, 2, 1, 0), ": sum of the first m+1 even squares",
+     0, lambda m: exact_div(2 * (m + 1) * (m + 2) * (2 * m + 3), 3)),
+    ("walk_variance", "A072819", "m", (0, 1, 1, 3, 1, 0),
+     ": variance of the time a symmetric walk from 0 takes to reach +-(m+2)",
+     0, lambda m: exact_div(2 * (m + 2) ** 2 * ((m + 2) ** 2 - 1), 3)),
+    ("hyperbola_regions", "A058331", "m", (0, 3, 1, 0, 1, 1),
+     " = 2(m+1)^2 + 1: plane regions from m+1 hyperbolas", 0, lambda m: 2 * (m + 1) * (m + 1) + 1),
+    ("dyck_two_levels", "A176479", "n", (1, 1, 1, -1, 1, 0),
+     ": Dyck paths whose peaks are n at level 1 and n at level 2", 1, None),
+    SequenceEntry(
+        "lee_sphere",
+        "A181675",
+        "inset(n^2,n,n): lattice points in the n-dimensional ball of radius n^2",
+        _line(lambda n: (n * n, n, n)),
+    ),
+    SequenceEntry(
+        "braun_hough_cells",
+        "braun_hough_cells",
+        "inset(2,n-d+2,3d-2n): d-cell counts of the Braun-Hough complexes, valid cells by rows",
+        _rows(
+            lambda n: range((2 * n + 2) // 3, (3 * n + 4) // 4 + 1),
+            lambda n, d: (2, n - d + 2, 3 * d - 2 * n),
+        ),
+    ),
+]
+
+
+def _from_row(
+    row: tuple,
+    lines: list[tuple[tuple[int, ...], SequenceEntry]],
+    readings: dict[str, tuple[str, int]],
+) -> SequenceEntry:
+    """The entry of one table row.  ``lines`` holds (cell, entry) for each
+    earlier row with a fixture, and a reading is recorded in ``readings``."""
+    key, fixture, index, cell, words, start, closed_form = row
+    cells = ",".join(_affine(x, y, index) for x, y in zip(cell[::2], cell[1::2]))
+    description = f"inset({cells}){words}"
+    if fixture is None:
+        for line, source in lines:
+            shift = _shift(cell, line)
+            if shift is not None:
+                break
+        else:
+            raise ValueError(f"reading {key} lies on the line of no earlier row")
+        readings[key] = (source.key, shift)
         terms = lambda i: source.terms(i + shift)  # noqa: E731
         return SequenceEntry(key, source.fixture_id, description, terms, start, closed_form)
 
+    a, b, c, d, e, f = cell
+    ball_at_0 = key.startswith("coordination_")
+
+    def at(i: int) -> tuple[int, int, int]:
+        return (0, d, d) if ball_at_0 and not i else (a * i + b, c * i + d, e * i + f)
+
+    walked = key in _RECURRENCES
+    terms = _recurrence(key, lambda i: inset(*at(i))) if walked else _line(at)
+    entry = SequenceEntry(key, fixture, description, terms, start, closed_form)
+    lines.append((cell, entry))
+    return entry
+
+
+def _build_catalog() -> tuple[list[SequenceEntry], dict[str, tuple[str, int]]]:
+    """The entries in order, and the readings: key -> (stream key, shift)."""
+    lines: list[tuple[tuple[int, ...], SequenceEntry]] = []
+    readings = {"sulanke_odd": ("sulanke_even", 0)}
     entries = [
-        SequenceEntry(
-            "odd_numbers",
-            "A005408",
-            "inset(m,1,1): odd numbers 2m+1",
-            _line(lambda m: (m, 1, 1)),
-            closed_form=lambda m: 2 * m + 1,
-        ),
-        SequenceEntry(
-            "squares",
-            "A000290",
-            "inset(m,1,2): perfect squares m^2",
-            _line(lambda m: (m, 1, 2)),
-            closed_form=lambda m: m * m,
-        ),
-        SequenceEntry(
-            "square_pyramidal",
-            "A000330",
-            "inset(m,1,3): square pyramidal numbers, shifted",
-            _line(lambda m: (m, 1, 3)),
-            closed_form=lambda m: exact_div((m - 1) * m * (2 * m - 1), 6),
-        ),
-        SequenceEntry(
-            "pyramidal_4d",
-            "A002415",
-            "inset(m,1,4): four-dimensional pyramidal numbers, shifted",
-            _line(lambda m: (m, 1, 4)),
-            closed_form=lambda m: exact_div((m - 1) ** 2 * ((m - 1) ** 2 - 1), 12),
-        ),
-        SequenceEntry(
-            "centered_square",
-            "A001844",
-            "inset(m,2,2): centered squares m^2 + (m+1)^2",
-            _line(lambda m: (m, 2, 2)),
-            closed_form=lambda m: m * m + (m + 1) * (m + 1),
-        ),
-        SequenceEntry(
-            "octahedral",
-            "A005900",
-            "inset(m,2,3): octahedral numbers m(2m^2+1)/3",
-            _line(lambda m: (m, 2, 3)),
-            closed_form=lambda m: exact_div(m * (2 * m * m + 1), 3),
-        ),
-        SequenceEntry(
-            "centered_octahedral",
-            "A001845",
-            "inset(m,3,3): centered octahedral numbers (2m+1)(2m^2+2m+3)/3",
-            _line(lambda m: (m, 3, 3)),
-            closed_form=lambda m: exact_div((2 * m + 1) * (2 * m * m + 2 * m + 3), 3),
-        ),
-        SequenceEntry(
-            "centered_polygonal_4d",
-            "A006325",
-            "inset(m,2,4): 4-dimensional centered polygonal analog m(m-1)(m^2-m+1)/6",
-            _line(lambda m: (m, 2, 4)),
-            closed_form=lambda m: exact_div(m * (m - 1) * (m * m - m + 1), 6),
-        ),
-        SequenceEntry(
-            "dyck_pyramid_weight",
-            "A001793",
-            "inset(1,n,2): n(n+3)2^(n-3); pyramid weight of Dyck paths",
-            _line(lambda n: (1, n, 2)),
-            closed_form=lambda n: exact_div(n * (n + 3) * (1 << n), 8),
-        ),
-        SequenceEntry(
-            "bishop_moves",
-            "A002492",
-            "inset(1,n,n-2): bishop moves on the n x n board, n >= 2",
-            _line(lambda n: (1, n, n - 2)),
-            start=2,
-            closed_form=lambda n: exact_div(2 * n * (2 * n - 1) * (n - 1), 3),
-        ),
-        SequenceEntry(
-            "squares_convolution",
-            "A033455",
-            "inset(m,2,5): convolution of nonzero squares with themselves, shifted",
-            _line(lambda m: (m, 2, 5)),
-            closed_form=lambda m: exact_div((m - 1) * ((m - 1) ** 4 - 1), 30),
-        ),
-        SequenceEntry(
-            "delannoy",
-            "A008288",
-            "Delannoy square D(m,n) = inset(m,n,n), read by antidiagonals",
-            _antidiagonals(lambda d, j: (j, d - j, d - j)),
-        ),
-        SequenceEntry(
-            "central_delannoy",
-            "A001850",
-            "inset(n,n,n): central Delannoy numbers",
-            _recurrence("central_delannoy", lambda n: inset(n, n, n)),
-        ),
-        SequenceEntry(
-            "asymmetric_delannoy",
-            "A049600",
-            "asymmetric Delannoy square inset(m,n,m), read by antidiagonals",
-            _antidiagonals(lambda d, j: (j, d - j, j)),
-        ),
-        SequenceEntry(
-            "catalan_scaled",
-            "A051960",
-            "inset(2k,1,k) = (3k+2) * Catalan(k)",
-            _recurrence("catalan_scaled", lambda k: inset(2 * k, 1, k)),
-        ),
-        SequenceEntry(
-            "fibonacci",
-            "A000045",
-            "sum_i inset(m-i,1,i) over i <= (m+1)/2: Fibonacci F(m+3)",
-            _recurrence("fibonacci", fibonacci_by_insets),
-        ),
-        SequenceEntry(
-            "sulanke_even",
-            "A064861",
-            "parity-split grid read by antidiagonals, anchored on the even corner",
-            _antidiagonals(lambda d, j: (d // 2, d - d // 2, j)),
-        ),
-    ]
-    entries.append(
-        reading(
-            "sulanke_odd",
-            "sulanke_even",
-            0,
-            "parity-split grid read by antidiagonals, anchored on the first odd cell",
-            start=1,
-        )
-    )
-
-    ball = "inset(m,{0},{0}): lattice points with |x|_1 <= m in Z^{0}"
-    for dim, stream in enumerate(("odd_numbers", "centered_square", "centered_octahedral"), 1):
-        entries.append(reading(f"crystal_ball_Z{dim}", stream, 0, ball.format(dim)))
-    for dim, fixture in ((4, "A001846"), (5, "A001847")):
-        terms = _line(lambda m, d=dim: (m, d, d))
-        entries.append(SequenceEntry(f"crystal_ball_Z{dim}", fixture, ball.format(dim), terms))
-
-    coordination_ids = {3: "A005899", 4: "A008412", 5: "A008413"}
-    for dim, fixture in coordination_ids.items():
-        entries.append(
-            SequenceEntry(
-                f"coordination_Z{dim}",
-                fixture,
-                f"inset(m-1,{dim},{dim - 1}): lattice points with |x|_1 = m in Z^{dim}",
-                # term 0 is the ball of radius 0, inset(0, d, d) = 1
-                _line(lambda m, d=dim: (m - 1, d, d - 1) if m else (0, d, d)),
-            )
-        )
-
-    entries += [
-        SequenceEntry(
-            "lucas_triangle",
-            "A029653",
-            "rows inset(m,1,k), k = 0..m+1: the (2,1) Pascal triangle",
-            _rows(lambda m: range(m + 2), lambda m, k: (m, 1, k)),
-        ),
-        SequenceEntry(
-            "weak_comp_2zeros",
-            "A058396",
-            "inset(3,n,2): weak compositions of n+1 with exactly two zero parts",
-            _line(lambda n: (3, n, 2)),
-            closed_form=lambda n: exact_div((n * n + 11 * n + 24) * (1 << n), 8),
-        ),
-        SequenceEntry(
-            "turan_triangles",
-            "A000297",
-            "inset(m+1,2,m): triangles in the complete multipartite graph"
-            " K(2,2,1,...,1) with m+1 parts of size 1",
-            _line(lambda m: (m + 1, 2, m)),
-            closed_form=lambda m: binomial(m + 5, 3) - 2 * (m + 3),
-        ),
-        reading(
-            "octahedron_surface",
-            "coordination_Z3",
-            1,
-            "inset(m,3,2): points on the octahedron surface 4(m+1)^2 + 2",
-            closed_form=lambda m: 4 * (m + 1) * (m + 1) + 2,
-        ),
-        SequenceEntry(
-            "ccc_cliques",
-            "A167667",
-            "inset(n,n,1) = 3n 2^(n-1): maximum cliques in cube-connected cycles CCC(n), n >= 4",
-            _line(lambda n: (n, n, 1)),
-            closed_form=lambda n: exact_div(3 * n * (1 << n), 2),
-        ),
-        SequenceEntry(
-            "schroeder_peaks",
-            "A002002",
-            "inset(m,m+1,m+1): peaks in all Schroeder paths of semilength m+1",
-            _recurrence("schroeder_peaks", lambda m: inset(m, m + 1, m + 1)),
-        ),
-        SequenceEntry(
-            "partial_self_maps",
-            "A002003",
-            "inset(m,m+1,m): order-preserving partial self-maps of an (m+1)-set",
-            _recurrence("partial_self_maps", lambda m: inset(m, m + 1, m)),
-        ),
-        SequenceEntry(
-            "dyck_central_peak",
-            "A001105",
-            "inset(1,m+1,m) = 2(m+1)^2",
-            _line(lambda m: (1, m + 1, m)),
-            closed_form=lambda m: 2 * (m + 1) * (m + 1),
-        ),
-        reading(
-            "even_squares_sum",
-            "bishop_moves",
-            2,
-            "inset(1,m+2,m): sum of the first m+1 even squares",
-            closed_form=lambda m: exact_div(2 * (m + 1) * (m + 2) * (2 * m + 3), 3),
-        ),
-        SequenceEntry(
-            "walk_variance",
-            "A072819",
-            "inset(1,m+3,m): variance of the time a symmetric walk from 0 takes to reach +-(m+2)",
-            _line(lambda m: (1, m + 3, m)),
-            closed_form=lambda m: exact_div(2 * (m + 2) ** 2 * ((m + 2) ** 2 - 1), 3),
-        ),
-        SequenceEntry(
-            "hyperbola_regions",
-            "A058331",
-            "inset(3,m,m+1) = 2(m+1)^2 + 1: plane regions from m+1 hyperbolas",
-            _line(lambda m: (3, m, m + 1)),
-            closed_form=lambda m: 2 * (m + 1) * (m + 1) + 1,
-        ),
-        SequenceEntry(
-            "dyck_two_levels",
-            "A176479",
-            "inset(n+1,n-1,n): Dyck paths whose peaks are n at level 1 and n at level 2",
-            _recurrence("dyck_two_levels", lambda n: inset(n + 1, n - 1, n)),
-            start=1,
-        ),
-        SequenceEntry(
-            "lee_sphere",
-            "A181675",
-            "inset(n^2,n,n): lattice points in the n-dimensional ball of radius n^2",
-            _line(lambda n: (n * n, n, n)),
-        ),
-        SequenceEntry(
-            "braun_hough_cells",
-            "braun_hough_cells",
-            "inset(2,n-d+2,3d-2n): d-cell counts of the Braun-Hough complexes, valid cells by rows",
-            _rows(
-                lambda n: range((2 * n + 2) // 3, (3 * n + 4) // 4 + 1),
-                lambda n, d: (2, n - d + 2, 3 * d - 2 * n),
-            ),
-        ),
+        row if isinstance(row, SequenceEntry) else _from_row(row, lines, readings)
+        for row in _TABLE
     ]
     return entries, readings
 

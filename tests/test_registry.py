@@ -24,6 +24,8 @@ from insets.registry import (
 )
 from insets.words import count_bruteforce
 
+GOLDEN = Path(__file__).parent / "golden"
+
 REQUIRED_KEYS = {
     "odd_numbers", "squares", "square_pyramidal", "pyramidal_4d",
     "centered_square", "octahedral", "centered_octahedral",
@@ -264,16 +266,26 @@ def test_catalog_declares_its_duplicate_streams():
         declared.add((stream, reading, lag) if stream < reading else (reading, stream, -lag))
     assert found == declared
     # a declaration agrees with itself whatever its shift, so each reading's
-    # terms are held to the cell its description names, "inset(a,b,c): ..."
-    # in m, or to the index decoding of its array
+    # terms are held to inset at its own row's cell in the table, or to the
+    # index decoding of its array
+    cells = {row[0]: row[3] for row in registry._TABLE if isinstance(row, tuple)}
     for reading in _READINGS:
-        entry = get_entry(reading)
-        cell, _, _ = entry.description.partition(": ")
-        if cell.startswith("inset("):
-            term = eval(f"lambda m: {cell}", {"inset": inset})
+        start = get_entry(reading).start
+        indices = range(start, start + 60)
+        if reading in cells:
+            a, b, c, d, e, f = cells[reading]
+            expected = [inset(a * i + b, c * i + d, e * i + f) for i in indices]
         else:
-            term = _DECODED[reading][1]
-        assert terms[reading] == [term(entry.start + i) for i in range(60)], reading
+            expected = [_DECODED[reading][1](i) for i in indices]
+        assert terms[reading] == expected, reading
+
+
+def test_catalog_matches_its_golden():
+    # key, fixture id, start and description of each entry in list order, so
+    # a one-byte change to any of them fails here; an intended change is
+    # recorded by rewriting tests/golden/catalog.tsv from these lines
+    lines = [f"{e.key}\t{e.fixture_id}\t{e.start}\t{e.description}" for e in list_entries()]
+    assert lines == (GOLDEN / "catalog.tsv").read_text(encoding="utf-8").splitlines()
 
 
 def _antidiagonal(i):
