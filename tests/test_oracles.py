@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from insets import chebyshev, core, series, words
 from insets.core import inset
 from insets.errors import CapExceededError
 from insets.oracles import (
@@ -110,3 +114,37 @@ def test_weak_composition_cap():
         weak_compositions_with_zeros(10, 7)
     with pytest.raises(ValueError):
         weak_compositions_with_zeros(-1, 0)
+
+
+# The reference routes outside insets.oracles, by module.  Each stands apart
+# from the fast paths it is checked against only while it reaches none of
+# them, in its own body or through a function of its own module.
+_REFERENCE_ROUTES = [
+    (core, ("inset_alternating", "inset_power_sum", "inset_binomial_sum", "inset_dp")),
+    (series, ("poly_trim", "poly_mul", "poly_pow", "series_div")),
+    (words, ("count_bruteforce", "_counts_by_twos")),
+    (chebyshev, ("chebyshev_oracle",)),
+]
+_FAST_PATHS = {
+    "inset", "inset_row", "_binomial_product", "trapeze_table", "iter_words",
+    "coeff", "polynomial", "_gf", "gf_in_m", "gf_in_n", "gf_in_k",
+}
+
+
+@pytest.mark.parametrize(
+    "module,routes", _REFERENCE_ROUTES, ids=[m.__name__ for m, _ in _REFERENCE_ROUTES]
+)
+def test_reference_routes_reach_no_fast_path(module, routes):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, pending = set(), list(routes)
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        nodes = list(ast.walk(functions[name]))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        assert names.isdisjoint(_FAST_PATHS), (name, sorted(names & _FAST_PATHS))
+        pending.extend(names & functions.keys())

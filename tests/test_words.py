@@ -1,7 +1,5 @@
 import itertools
 import os
-import subprocess
-import sys
 import time
 
 import pytest
@@ -126,15 +124,6 @@ def test_iter_words_streams_past_length_20():
     assert list(itertools.islice(iter_words(2000, 2000, 300), 3)) == expected
 
 
-# the launcher starts the child and reports its wait status and peak RSS
-# (KiB): Linux counts the peak RSS of the process that forks a child into the
-# child's own, so a child of the test process would report the test's peak
-_PEAK_RSS = """
-import os, subprocess, sys
-child = subprocess.Popen([sys.executable, "-c", sys.argv[1]])
-_, status, usage = os.wait4(child.pid, 0)
-print(status, usage.ru_maxrss)
-"""
 _FIRST_WORDS_16000 = """
 import itertools
 from insets.words import iter_words
@@ -145,14 +134,12 @@ assert list(itertools.islice(iter_words(8000, 8000, 300), 3)) == expected
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-def test_iter_words_start_takes_memory_linear_in_length():
+def test_iter_words_start_takes_memory_linear_in_length(peak_rss):
     # the heads share one list of letters: the first 3 words of (8000, 8000,
     # 300) took 16 MB of peak RSS against 13 MB for a bare interpreter, where
     # a stack of head strings took 234 MB (2 cores, Python 3.11.7)
-    script = [sys.executable, "-c", _PEAK_RSS, _FIRST_WORDS_16000]
-    result = subprocess.run(script, capture_output=True, text=True, check=True)
-    status, peak = map(int, result.stdout.split())
-    assert status == 0, result.stderr
+    status, peak = peak_rss("-c", _FIRST_WORDS_16000)
+    assert status == 0
     assert peak < 60 * 1024, peak
 
 
