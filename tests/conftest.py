@@ -42,3 +42,14 @@ def _peak_rss(*args: str, stdout: object = os.devnull) -> tuple[int, int]:
 @pytest.fixture
 def peak_rss():
     return _peak_rss
+
+
+def _run_insets(*args: str) -> subprocess.CompletedProcess:
+    """``python -m insets *args`` in a child process, its exit status and its
+    stdout and stderr bytes captured."""
+    return subprocess.run([sys.executable, "-m", "insets", *args], capture_output=True)
+
+
+@pytest.fixture
+def run_insets():
+    return _run_insets

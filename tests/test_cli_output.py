@@ -1,5 +1,7 @@
-"""Exact stdout and exit status of every subcommand in each output format,
-and the exact help and usage-error text."""
+"""The exact CLI output that tests/golden/outputs.tsv does not hold: FAIL
+outputs that need a planted fault, reports on a fixture written for the
+test, values past the digit cap, argument spellings, and the help and
+usage-error text."""
 
 import json
 import sys
@@ -9,93 +11,6 @@ import pytest
 
 from insets import cli
 from insets.core import inset_row
-
-_NAMES = (
-    "pascal", "vertical", "doubling", "alternating_shift", "horizontal_full",
-    "horizontal_tail", "telescoping", "zeros_placement", "binomial_sum",
-    "convolution", "shifted_window", "parity_shift", "first_row",
-)
-_VERIFY_JSON = ", ".join(
-    f'{{"identity": "{name}", "m_max": 3, "n_max": 3, "passed": true}}'
-    for name in _NAMES
-)
-
-GOLDEN = [
-    ("compute 1 3 2", "plain", 0, "18\n"),
-    ("compute 1 3 2", "json", 0, '{"m": 1, "n": 3, "k": 2, "value": "18"}\n'),
-    ("compute 1 3 2", "csv", 0, "m,n,k,value\n1,3,2,18\n"),
-    ("table 1 2", "plain", 0, "2 1\n2 3 1\n2 5 4 1\n"),
-    ("table 1 2", "json", 0,
-     '{"n": 1, "m_max": 2, "rows": [["2", "1"], ["2", "3", "1"], ["2", "5", "4", "1"]]}\n'),
-    ("table 1 2", "csv", 0,
-     "m,k,value\n0,0,2\n0,1,1\n1,0,2\n1,1,3\n1,2,1\n2,0,2\n2,1,5\n2,2,4\n2,3,1\n"),
-    ("words 0 3 2 --limit 2", "plain", 0, "022\n122\ncount 6\n"),
-    ("words 0 3 2 --limit 2", "json", 0, '["022", "122"]\n'),
-    ("words 0 3 2 --limit 2", "csv", 0, "word\n022\n122\n"),
-    ("words 0 0 0", "csv", 0, 'word\n""\n'),
-    # the largest --limit islice takes
-    ("words 0 3 2 --limit 9223372036854775807", "plain", 0,
-     "022\n122\n202\n212\n220\n221\ncount 6\n"),
-    ("verify all 3 3", "plain", 0, "".join(f"PASS {name}\n" for name in _NAMES)),
-    ("verify all 3 3", "json", 0, f"[{_VERIFY_JSON}]\n"),
-    ("verify all 3 3", "csv", 0,
-     "identity,result,params,lhs,rhs\n" + "".join(f"{name},PASS,,,\n" for name in _NAMES)),
-    ("series m 3 2 10 --check", "plain", 0, "1 6 18 38 66 102 146 198 258 326 402\nPASS\n"),
-    ("series m 3 2 10 --check", "json", 0,
-     '{"which": "m", "a": 3, "b": 2, "order": 10, "coefficients": ["1", "6", "18", '
-     '"38", "66", "102", "146", "198", "258", "326", "402"], "check": "PASS"}\n'),
-    ("series m 3 2 10 --check", "csv", 0,
-     "power,coefficient\n0,1\n1,6\n2,18\n3,38\n4,66\n5,102\n6,146\n7,198\n8,258\n"
-     "9,326\n10,402\n"),
-    # powers 0-2 of gf_in_n(5, 2) lie outside the law (j + 2 < 5), and --check skips them
-    ("series n 5 2 8 --check", "plain", 0, "1 1 4 10 25 61 146 344 800\nPASS\n"),
-    ("series n 5 2 8 --check", "json", 0,
-     '{"which": "n", "a": 5, "b": 2, "order": 8, "coefficients": ["1", "1", "4", "10", '
-     '"25", "61", "146", "344", "800"], "check": "PASS"}\n'),
-    ("series n 5 2 8 --check", "csv", 0,
-     "power,coefficient\n0,1\n1,1\n2,4\n3,10\n4,25\n5,61\n6,146\n7,344\n8,800\n"),
-    ("series k 2 3 6 --check", "plain", 0, "8 36 102 231 456 819 1372\nPASS\n"),
-    ("series k 2 3 6 --check", "json", 0,
-     '{"which": "k", "a": 2, "b": 3, "order": 6, "coefficients": ["8", "36", "102", '
-     '"231", "456", "819", "1372"], "check": "PASS"}\n'),
-    ("series k 2 3 6 --check", "csv", 0,
-     "power,coefficient\n0,8\n1,36\n2,102\n3,231\n4,456\n5,819\n6,1372\n"),
-    ("poly 1 4", "plain", 0, "1 0 -8 0 8\n"),
-    ("poly 1 4", "json", 0, '{"m": 1, "n": 4, "coefficients": ["1", "0", "-8", "0", "8"]}\n'),
-    ("poly 1 4", "csv", 0, "power,coefficient\n0,1\n1,0\n2,-8\n3,0\n4,8\n"),
-    ("seq bishop_moves 5", "plain", 0, "4 20 56 120 220\n"),
-    ("seq bishop_moves 5", "json", 0,
-     '{"key": "bishop_moves", "start": 2, "values": ["4", "20", "56", "120", "220"]}\n'),
-    ("seq bishop_moves 5", "csv", 0, "index,value\n2,4\n3,20\n4,56\n5,120\n6,220\n"),
-    ("crosscheck delannoy", "plain", 0, "validated offset=0\n"),
-    ("crosscheck delannoy", "json", 0,
-     '[{"key": "delannoy", "fixture": "A008288", "status": "validated", "offset": 0, '
-     '"agreed": 40}]\n'),
-    ("crosscheck delannoy", "csv", 0,
-     "key,fixture,status,offset,agreed\ndelannoy,A008288,validated,0,40\n"),
-    # two readings of an earlier entry's stream, each shifted against it: a
-    # reading whose shift or start drifts moves its offset
-    ("crosscheck octahedron_surface", "plain", 0, "validated offset=1\n"),
-    ("crosscheck octahedron_surface", "json", 0,
-     '[{"key": "octahedron_surface", "fixture": "A005899", "status": "validated", '
-     '"offset": 1, "agreed": 40}]\n'),
-    ("crosscheck octahedron_surface", "csv", 0,
-     "key,fixture,status,offset,agreed\noctahedron_surface,A005899,validated,1,40\n"),
-    ("crosscheck sulanke_odd", "plain", 0, "validated offset=1\n"),
-    ("crosscheck sulanke_odd", "json", 0,
-     '[{"key": "sulanke_odd", "fixture": "A064861", "status": "validated", "offset": 1, '
-     '"agreed": 40}]\n'),
-    ("crosscheck sulanke_odd", "csv", 0,
-     "key,fixture,status,offset,agreed\nsulanke_odd,A064861,validated,1,40\n"),
-]
-
-
-@pytest.mark.parametrize(
-    "command,fmt,status,expected", GOLDEN, ids=[f"{c}-{f}" for c, f, _, _ in GOLDEN]
-)
-def test_golden_stdout(capsys, command, fmt, status, expected):
-    assert cli.main([*command.split(), "--format", fmt]) == status
-    assert capsys.readouterr().out == expected
 
 
 def _planted(m, n, lo, hi):
@@ -205,6 +120,7 @@ def test_series_check_failure_output(monkeypatch, capsys, fmt, expected):
 @pytest.mark.parametrize(
     "fmt,expected",
     [
+        ("plain", "provisional offset=0\n"),
         ("json",
          '[{"key": "odd_numbers", "fixture": "A005408", "status": "provisional", '
          '"offset": 0, "agreed": 0}]\n'),
@@ -293,10 +209,9 @@ def test_callers_digit_cap_is_restored(capsys, argv, status):
 # recorded with COLUMNS=80, argparse wrapping help to the terminal width, and
 # byte-identical under Python 3.10.13, 3.11.7, 3.12.1, 3.13.0 and 3.13.13
 _HELP = Path(__file__).parent / "cli_help"
-_SUBCOMMANDS = ("compute", "table", "words", "verify", "series", "poly", "seq", "crosscheck")
 
 
-@pytest.mark.parametrize("sub", ("", *_SUBCOMMANDS))
+@pytest.mark.parametrize("sub", ("", *cli._GRAMMAR))
 def test_help_text(monkeypatch, capsys, sub):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:

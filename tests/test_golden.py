@@ -20,6 +20,11 @@ def test_every_corpus_call_replays_byte_for_byte():
         assert _GOLDEN["run"](fields[0].split()) == fields, f"insets {fields[0]}"
 
 
+def test_corpus_lists_the_recorders_calls_in_order():
+    # a call added to tools/golden.py without a rerun of it fails here
+    assert [fields[0] for fields in _LINES] == [" ".join(argv) for argv in _GOLDEN["calls"]()]
+
+
 def test_corpus_covers_every_subcommand_format_and_limit():
     calls = [(cli._quick_parse(fields[0].split()), fields) for fields in _LINES]
     # only the quick parse's calls: argparse's help and usage bytes vary with

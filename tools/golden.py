@@ -38,6 +38,16 @@ _EDGES = [
     "crosscheck all", "crosscheck delannoy", "series m 3 2 10 --check", "table 0 0",
     "seq central_delannoy 6000", "table 200 500", "poly 3 3000",
     "words 0 12 6 --limit 59136", "compute 1 3 2", "words 3 3 2 --limit 4",
+    # small calls of each subcommand, unknown names, more calls past each size limit
+    "compute 0 0 0", "compute 2 3 9", "compute 40 40 40", "table 1 2", "table 0 701",
+    "poly 1 4", "poly 0 2", "poly 0 0", "series k 0 0 5", "series n 0 0 5",
+    "series n 5 2 8 --check", "series k 2 3 6 --check", "series k 0 0 600",
+    "series k 20001 0 5", "series k 0 20001 5", "series k 20001 20001 5",
+    "words 0 3 2", "words 2 3 4", "words 0 3 2 --limit 2", "words 0 10 3 --limit 3",
+    "words 0 3 2 --limit 9223372036854775807", "verify pascal 10 10", "verify all 5 5",
+    "verify bogus 2 2", "verify all 33 0", "verify all 0 33", "verify all 40 40",
+    "seq odd_numbers 4", "seq odd_numbers 3", "seq bishop_moves 5", "seq delannoy 20",
+    "seq nope 4", "crosscheck octahedron_surface",
 ]
 # the calls whose output the CI checked by hand
 _CI = [
