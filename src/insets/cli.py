@@ -50,14 +50,17 @@ WORD_LISTING_GUARD = 10_000
 # calls take about 20 ms
 MAX_SERIES_ORDER = 512
 # `series k 20000 20000 512 --check`, the costliest shape at the bound, took
-# 0.6 s and 22 MB peak RSS as a process on a 2-core VM with Python 3.11.7 and
-# printed 3.4 MB; which = m or n takes under 0.1 s there.  For which = k the
-# cost grows about quadratically in b: `series k 0 40000 512` took 0.8 s
+# 1.31-1.45 s and 15.0 MB peak RSS as a process (0.39-0.42 s without --check)
+# on a 2-core VM with Python 3.11.7, started from a small parent with stdout
+# read through a pipe, and printed 3,406,590 bytes; which = m or n took
+# 0.16-0.19 s there.  For which = k the cost grows faster than b^2: in
+# process, gf_in_k(0, b, 512) and its decimal strings took 0.33 s at
+# b = 20000 and 1.23 s at b = 40000
 MAX_SERIES_PARAM = 20_000
-# verify_all(32, 32), the work of `verify all 32 32`, took 1.0-1.2 s and
-# 25.1 MB peak RSS as a process on a 2-core VM with Python 3.11.7, and
-# verify_all(36, 36) 1.2 s in process: from 16 to 36 the cost grows about
-# as the 3.7th power of the bound
+# `verify all 32 32` took 0.68-0.85 s and 23.4 MB peak RSS as a process on a
+# 2-core VM with Python 3.11.7, measured as above; in process verify_all took
+# 0.05 s at 16 x 16, 0.58 s at 32 x 32 and 0.89 s at 36 x 36, so the cost
+# grows about as the 3.5th power of the bound
 MAX_VERIFY_GRID = 32
 # `table` prints (m_max + 1) (n + 1 + m_max/2) values of up to n + m_max bits.
 # With n + m_max = 700 it took at most 1.6 s (`table 350 350 --format csv`)

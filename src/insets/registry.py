@@ -4,11 +4,11 @@ Each entry is a stream of terms: ``entry.terms(i)`` returns a fresh
 iterator over the terms from linear index ``i`` on, and nothing is cached
 between calls, so ``next(entry.terms(i))`` is term ``i``.  An entry names
 its inset cells (m, n, k) and one of three readers makes its terms: ``_line``
-reads one cell per index, ``_rows`` (and ``_antidiagonals``, its square-array
-case) reads a two-dimensional array row by row, and these two are the only
-readers that call ``inset``.  The third, ``_recurrence``, serves the six
-entries that walk the recurrence row ``_RECURRENCES`` holds for them from d
-seed terms, with one ``exact_div`` a term.  Each entry also names the fixture
+reads one cell per index with ``inset``, and ``_rows`` reads a two-dimensional
+array one whole row at a time, from a function of the row index that returns
+the row's terms.  The third, ``_recurrence``, serves the six entries that
+walk the recurrence row ``_RECURRENCES`` holds for them from d seed terms,
+with one ``exact_div`` a term.  Each entry also names the fixture
 it is validated against, and optionally carries a closed form that must
 agree with the inset route term by term.  :func:`validate` takes that
 fixture already parsed, an ``oeis.BFile``, so this module never imports
@@ -45,9 +45,12 @@ full agreement on an overlap of at least 15 terms.
 Two-dimensional families (Delannoy square, asymmetric Delannoy square,
 Sulanke grid, the two-boundary Pascal triangle, cell-count table) are read
 by antidiagonals resp. rows; the committed fixtures use the same reading.
-A stream walks the cells of its array in order, so no index is decoded
+A stream builds the rows of its array in order, so no index is decoded
 back into a cell.  Antidiagonal d of the Sulanke grid is one whole inset
-row, the cells (d // 2, d - d // 2, j) for j = 0..d.
+row, the cells (d // 2, d - d // 2, j) for j = 0..d, and row m of the
+Lucas triangle is the row (m, 1, 0..m+1): each is one ``inset_row`` call.
+The Delannoy squares and the cell-count table change m or n along a row,
+so they call ``inset`` per cell.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from collections.abc import Callable, Iterator
 
 from . import _EXPORTS
 from ._record import Record
-from .core import binomial, inset
+from .core import binomial, inset, inset_row
 from .errors import FixtureError
 
 __all__ = _EXPORTS["registry"]
@@ -173,22 +176,17 @@ def _recurrence(key: str, value: Callable[[int], int]) -> Terms:
     return terms
 
 
-def _rows(row: Callable[[int], range], cell: Callable[[int, int], tuple[int, int, int]]) -> Terms:
-    """The terms inset(*cell(r, c)) for c in row(r), rows r = 0, 1, ... in turn.
+def _rows(row: Callable[[int], list[int]]) -> Terms:
+    """The terms of row(0), row(1), ... in turn, each row a list of terms.
 
-    Starting at index i skips the first i cells without calling ``inset`` on them.
+    Starting at index i builds the rows that hold the first i terms and skips them.
     """
 
     def terms(start: int) -> Iterator[int]:
-        cells = (cell(r, c) for r in itertools.count() for c in row(r))
-        return itertools.starmap(inset, itertools.islice(cells, start, None))
+        values = itertools.chain.from_iterable(map(row, itertools.count()))
+        return itertools.islice(values, start, None)
 
     return terms
-
-
-def _antidiagonals(cell: Callable[[int, int], tuple[int, int, int]]) -> Terms:
-    """A square array inset(*cell(d, j)), j = 0..d, read by antidiagonals d = 0, 1, ..."""
-    return _rows(lambda d: range(d + 1), cell)
 
 
 def _affine(a: int, b: int, index: str) -> str:
@@ -208,7 +206,7 @@ def _shift(cell: tuple[int, ...], line: tuple[int, ...]) -> int | None:
     return s if s >= 0 and gaps == [a * s for a in slopes] else None
 
 
-_sulanke = _antidiagonals(lambda d, j: (d // 2, d - d // 2, j))
+_sulanke = _rows(lambda d: inset_row(d // 2, d - d // 2, 0, d + 1))
 _GRID = "parity-split grid read by antidiagonals, anchored on the "
 _BALL = ": lattice points with |x|_1 <= m in Z^"
 _SPHERE = ": lattice points with |x|_1 = m in Z^"
@@ -250,14 +248,14 @@ _TABLE = [
         "delannoy",
         "A008288",
         "Delannoy square D(m,n) = inset(m,n,n), read by antidiagonals",
-        _antidiagonals(lambda d, j: (j, d - j, d - j)),
+        _rows(lambda d: [inset(j, d - j, d - j) for j in range(d + 1)]),
     ),
     ("central_delannoy", "A001850", "n", (1, 0, 1, 0, 1, 0), ": central Delannoy numbers", 0, None),
     SequenceEntry(
         "asymmetric_delannoy",
         "A049600",
         "asymmetric Delannoy square inset(m,n,m), read by antidiagonals",
-        _antidiagonals(lambda d, j: (j, d - j, j)),
+        _rows(lambda d: [inset(j, d - j, j) for j in range(d + 1)]),
     ),
     ("catalan_scaled", "A051960", "k", (2, 0, 0, 1, 1, 0), " = (3k+2) * Catalan(k)", 0, None),
     SequenceEntry(
@@ -282,7 +280,7 @@ _TABLE = [
         "lucas_triangle",
         "A029653",
         "rows inset(m,1,k), k = 0..m+1: the (2,1) Pascal triangle",
-        _rows(lambda m: range(m + 2), lambda m, k: (m, 1, k)),
+        _rows(lambda m: inset_row(m, 1, 0, m + 2)),
     ),
     ("weak_comp_2zeros", "A058396", "n", (0, 3, 1, 0, 0, 2),
      ": weak compositions of n+1 with exactly two zero parts",
@@ -320,10 +318,10 @@ _TABLE = [
         "braun_hough_cells",
         "braun_hough_cells",
         "inset(2,n-d+2,3d-2n): d-cell counts of the Braun-Hough complexes, valid cells by rows",
-        _rows(
-            lambda n: range((2 * n + 2) // 3, (3 * n + 4) // 4 + 1),
-            lambda n, d: (2, n - d + 2, 3 * d - 2 * n),
-        ),
+        _rows(lambda n: [
+            inset(2, n - d + 2, 3 * d - 2 * n)
+            for d in range((2 * n + 2) // 3, (3 * n + 4) // 4 + 1)
+        ]),
     ),
 ]
 

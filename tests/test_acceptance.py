@@ -86,7 +86,7 @@ def test_criterion_3_bijection():
         for total in range(13):
             for m in range(total + 1):
                 n = total - m
-                for k in range(total + 1):
+                for k in range(total + 2):
                     expected = inset(m, n, k)
                     assert len(enumerate_words(m, n, k)) == expected, (m, n, k)
                     assert count_bruteforce(m, n, k) == expected, (m, n, k)
@@ -172,7 +172,7 @@ def test_criterion_7_oracles():
         # wc(m, k) = inset(k+1, m-1, k); the transposed indexing printed in
         # the source material fails at (m, k) = (3, 2)
         for m in range(1, 9):
-            for k in range(1, 7):
+            for k in range(7):
                 assert weak_compositions_with_zeros(m, k) == inset(
                     k + 1, m - 1, k
                 ), (m, k)
@@ -186,6 +186,7 @@ def test_criterion_8_sequence_registry():
             fixture = oeis.load(entry.fixture_id)
             report = registry.validate(entry.key, fixture)
             assert report.validated, (entry.key, report)
+            assert -4 <= report.offset <= 4
             assert report.agreed >= 15
 
         cats = [1]

@@ -1,7 +1,6 @@
 import pytest
 
 from insets.chebyshev import chebyshev_oracle, coeff, polynomial
-from insets.words import enumerate_words
 
 
 @pytest.mark.parametrize(
@@ -29,16 +28,6 @@ def test_oracle_degree_cap():
         chebyshev_oracle("first", 65)
 
 
-def test_second_kind_reproduced():
-    for n in range(17):
-        assert polynomial(0, n) == chebyshev_oracle("second", n), n
-
-
-def test_first_kind_reproduced():
-    for n in range(1, 17):
-        assert polynomial(1, n) == chebyshev_oracle("first", n), n
-
-
 @pytest.mark.parametrize(
     "m,n,k,expected",
     [
@@ -53,12 +42,6 @@ def test_coefficients(m, n, k, expected):
     assert coeff(m, n, k) == expected
 
 
-def test_polynomial_examples():
-    assert polynomial(0, 2) == [-1, 0, 4]
-    assert polynomial(1, 4) == [1, 0, -8, 0, 8]
-    assert polynomial(0, 0) == [1]
-
-
 def test_parity_zeros():
     for n in range(13):
         for k in range(n + 1):
@@ -71,17 +54,6 @@ def test_leading_coefficients():
     for n in range(1, 17):
         assert coeff(0, n, n) == 2**n
         assert coeff(1, n, n) == 2 ** (n - 1)
-
-
-def test_magnitudes_count_words():
-    for m in range(4):
-        for n in range(13):
-            for k in range(n % 2, n + 1, 2):
-                half_sum = (n + k) // 2
-                if half_sum < m:
-                    continue
-                count = len(enumerate_words(m, half_sum - m, (n - k) // 2))
-                assert abs(coeff(m, n, k)) == count, (m, n, k)
 
 
 def test_sign_rule():

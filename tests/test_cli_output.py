@@ -224,6 +224,7 @@ def test_help_text(monkeypatch, capsys, sub):
 _USAGE_ERRORS = [
     "compute x 1 1",
     "compute -1 2 3",
+    "compute 1 -3 2",
     "compute 1 2 3 4",
     "words 0 3 2 --limit 0",
     "series q 1 1 1",

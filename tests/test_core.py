@@ -63,14 +63,6 @@ def test_negative_index_rejected(method):
         method(1, -1, 0)
 
 
-def test_methods_agree_on_grid():
-    for m in range(9):
-        for n in range(9):
-            for k in range(m + 2 * n + 3):
-                values = {method(m, n, k) for method in ALL_METHODS}
-                assert len(values) == 1, (m, n, k, values)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 40))
 def test_methods_agree_random(m, n, k):
@@ -222,22 +214,6 @@ def test_trapeze_n0_is_pascal():
 
 def test_trapeze_n2_single_row():
     assert trapeze_table(2, 0) == [[4, 4, 1]]
-
-
-def test_trapeze_structure():
-    for n in range(5):
-        rows = trapeze_table(n, 6)
-        for m, row in enumerate(rows):
-            assert len(row) == m + n + 1
-            assert row[0] == 2**n
-            assert row[-1] == 1
-            assert row == [inset(m, n, k) for k in range(m + n + 1)]
-            if m:
-                prev = rows[m - 1]
-                for k in range(1, m + n):
-                    left = prev[k - 1] if k - 1 < len(prev) else 0
-                    right = prev[k] if k < len(prev) else 0
-                    assert row[k] == left + right
 
 
 def test_trapeze_rows_match_inset_cell_by_cell():

@@ -21,25 +21,6 @@ def test_thirteen_identities():
     assert len(IDENTITY_NAMES) == 13
 
 
-@pytest.mark.parametrize("name", IDENTITY_NAMES)
-def test_identity_passes(name):
-    report = verify(name, 8, 8)
-    assert report.passed, report.counterexample
-    assert report.counterexample is None
-    assert report.m_max == 8 and report.n_max == 8
-
-
-def test_degenerate_grid_passes():
-    for report in verify_all(0, 0):
-        assert report.passed
-
-
-def test_verify_all_order_and_count():
-    reports = verify_all(4, 4)
-    assert [r.identity for r in reports] == list(IDENTITY_NAMES)
-    assert all(isinstance(r, GridReport) for r in reports)
-
-
 def test_unknown_identity():
     with pytest.raises(ValueError):
         verify("bogus", 2, 2)
@@ -57,29 +38,11 @@ def _off_by_one_at(*targets):
     return stub
 
 
-def test_injected_fault_is_detected():
-    report = verify("pascal", 10, 10, inset_fn=_off_by_one_at((2, 1, 1)))
-    assert not report.passed
-    # first perturbed cell in lexicographic order
-    assert report.counterexample.params == (2, 1, 1)
-    assert report.counterexample.lhs != report.counterexample.rhs
-
-
 def test_injected_fault_fails_across_suite():
     reports = verify_all(6, 6, inset_fn=_off_by_one_at((3, 2, 2)))
     assert any(not r.passed for r in reports)
     # the untouched reference suite still passes
     assert all(r.passed for r in verify_all(6, 6))
-
-
-def test_telescoping_step_consistency():
-    # consecutive p instances differ by exactly 2 * inset(m, n-p-1, k-p)
-    for m in range(7):
-        for n in range(7):
-            for k in range(m + n + 1):
-                for p in range(1, min(n, k)):
-                    step = inset(m, n - p, k - p) - inset(m, n - p - 1, k - p - 1)
-                    assert step == 2 * inset(m, n - p - 1, k - p)
 
 
 # Each identity on the 6 x 6 grid with +1 planted at one cell: the first cell
@@ -149,13 +112,6 @@ def _counting_source():
         return inset(m, n, k)
 
     return asked, source
-
-
-@pytest.mark.parametrize("name", IDENTITY_NAMES)
-def test_each_cell_asked_of_the_source_once(name):
-    asked, source = _counting_source()
-    assert verify(name, 6, 6, inset_fn=source).passed
-    assert asked and max(asked.values()) == 1
 
 
 @pytest.mark.parametrize("name", IDENTITY_NAMES)
@@ -388,10 +344,13 @@ def _reference_report(name, m_max, n_max, source, read=None):
 
 
 # the thin grids are where a checker could skip its set-up or its first step
-# at m = 0 or n = 0 (alternating_shift reads no row of the 5 x 0 grid)
-TERM_BY_TERM_GRIDS = [(8, 8), (2, 12), (12, 2), (5, 0), (0, 5), (1, 7), (7, 1)]
+# at m = 0 or n = 0 (alternating_shift reads no row of the 5 x 0 grid), and
+# 0 x 0 is the degenerate grid
+TERM_BY_TERM_GRIDS = [(0, 0), (8, 8), (2, 12), (12, 2), (5, 0), (0, 5), (1, 7), (7, 1)]
 # p = 0 alone on these grids, where each comparison is of a cell with itself
-SELF_COMPARED = {("alternating_shift", (0, 5)), ("zeros_placement", (5, 0))}
+SELF_COMPARED = {
+    ("alternating_shift", (0, 5)), ("zeros_placement", (5, 0)), ("zeros_placement", (0, 0)),
+}
 
 
 @pytest.mark.parametrize("name", IDENTITY_NAMES)

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from insets import chebyshev, core, series, words
-from insets.core import inset
 from insets.errors import CapExceededError
 from insets.oracles import (
     delannoy_paths,
@@ -27,12 +26,6 @@ def test_delannoy_symmetry():
             assert delannoy_paths(m, n) == delannoy_paths(n, m)
 
 
-def test_delannoy_matches_inset():
-    for m in range(9):
-        for n in range(9):
-            assert delannoy_paths(m, n) == inset(m, n, n)
-
-
 def test_delannoy_cap():
     with pytest.raises(CapExceededError):
         delannoy_paths(65, 2)
@@ -51,16 +44,6 @@ def test_delannoy_cap():
 )
 def test_lattice_values(dim, radius, mode, expected):
     assert lattice_points(dim, radius, mode) == expected
-
-
-def test_lattice_matches_inset_small():
-    for dim in range(1, 4):
-        for radius in range(5):
-            assert lattice_points(dim, radius, "ball") == inset(radius, dim, dim)
-            if radius:
-                assert lattice_points(dim, radius, "sphere") == inset(
-                    radius - 1, dim, dim - 1
-                )
 
 
 def test_lattice_shells_partition_ball():
@@ -98,15 +81,6 @@ def test_lattice_caps():
 )
 def test_weak_composition_values(total, zeros, expected):
     assert weak_compositions_with_zeros(total, zeros) == expected
-
-
-def test_weak_compositions_match_inset():
-    # resolved correspondence: wc(t, z) = inset(z+1, t-1, z) for t >= 1
-    for total in range(1, 7):
-        for zeros in range(5):
-            assert weak_compositions_with_zeros(total, zeros) == inset(
-                zeros + 1, total - 1, zeros
-            )
 
 
 def test_weak_composition_cap():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from insets import oeis, oracles, registry
-from insets.core import inset, inset_row
+from insets.core import inset
 from insets.errors import FixtureError
 from insets.oeis import BFile, bfile_name
 from insets.oracles import delannoy_paths, lattice_points, weak_compositions_with_zeros
@@ -113,24 +113,6 @@ def test_exact_div_guards():
         exact_div(7, 2)
 
 
-def test_catalan_divisibility():
-    cats = [1]
-    for i in range(12):
-        cats.append(sum(cats[j] * cats[i - j] for j in range(i + 1)))
-    for k in range(13):
-        value = inset(2 * k, 1, k)
-        assert value % (3 * k + 2) == 0
-        assert value // (3 * k + 2) == cats[k]
-    assert inset(4, 1, 2) == 16  # (3k+2) C_2 at k = 2
-
-
-def test_fibonacci_recurrence():
-    values = [fibonacci_by_insets(m) for m in range(21)]
-    assert values[3] == 8  # F_6
-    for m in range(2, 21):
-        assert values[m] == values[m - 1] + values[m - 2]
-
-
 def test_fibonacci_walk_matches_inset_sums():
     # the two-term walk against the sum over inset cells, term by term
     assert generate("fibonacci", 300).values == [fibonacci_by_insets(m) for m in range(300)]
@@ -159,26 +141,6 @@ def test_sulanke_grid_counts_words():
             assert next(terms) == count_bruteforce(*_sulanke(d - j, j)), (d, j)
 
 
-def test_array_rows_match_inset_rows():
-    # per-cell inset calls against the k-walk of inset_row, one whole row at a time
-    sulanke = get_entry("sulanke_even").terms(0)
-    for d in range(90):
-        assert list(itertools.islice(sulanke, d + 1)) == inset_row(d // 2, d - d // 2, 0, d + 1), d
-    lucas = get_entry("lucas_triangle").terms(0)
-    for m in range(58):
-        assert list(itertools.islice(lucas, m + 2)) == inset_row(m, 1, 0, m + 2), m
-
-
-def test_lucas_triangle_rows():
-    # boundary 2 and 1, Pascal step inside
-    for m in range(1, 10):
-        row = [inset(m, 1, k) for k in range(m + 2)]
-        prev = [inset(m - 1, 1, k) for k in range(m + 1)]
-        assert row[0] == 2 and row[-1] == 1
-        for k in range(1, m + 1):
-            assert row[k] == prev[k - 1] + (prev[k] if k < len(prev) else 0)
-
-
 def test_braun_hough_cells_lie_in_the_support(monkeypatch):
     # every cell (2, n-d+2, 3d-2n) the stream reads in rows n < 60 is one where
     # the complexes have d-cells, and its term counts at least one
@@ -197,14 +159,6 @@ def test_braun_hough_cells_lie_in_the_support(monkeypatch):
         assert cell == (2, n - d + 2, 3 * d - 2 * n), (n, d)
         assert n - d + 2 >= 0 and 0 <= 3 * d - 2 * n <= n - d + 4, (n, d)
         assert term > 0, (n, d)
-
-
-def test_all_entries_validate_against_fixtures():
-    for entry in list_entries():
-        report = validate(entry.key, oeis.load(entry.fixture_id))
-        assert report.validated, (entry.key, report)
-        assert -4 <= report.offset <= 4
-        assert report.agreed >= 15
 
 
 def test_expected_nonzero_offsets():
@@ -685,7 +639,7 @@ NO_CONFIGURATION = {
         " of semilength n, or over those of height <= 2, is another sequence"
     ),
     "asymmetric_delannoy": "names an array of inset cells, read by antidiagonals",
-    "lucas_triangle": "names a triangle of numbers; test_lucas_triangle_rows checks its rows",
+    "lucas_triangle": "names a triangle of numbers, the rows inset(m, 1, .)",
     "braun_hough_cells": (
         "counts cells of complexes these tests do not build;"
         " test_braun_hough_cells_lie_in_the_support checks where its cells lie"

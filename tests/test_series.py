@@ -81,55 +81,6 @@ def test_series_div_roundtrip(num, tail, lead, order):
         assert got == want
 
 
-def test_gf_in_m_law():
-    order = 20
-    for n in range(7):
-        for k in range(7):
-            coeffs = gf_in_m(n, k, order)
-            assert len(coeffs) == order + 1
-            for m in range(max(0, n - k), order + 1):
-                assert coeffs[m] == inset(m + k - n, n, k), (n, k, m)
-
-
-def test_gf_in_m_examples():
-    assert gf_in_m(0, 0, 5) == [1] * 6
-    assert gf_in_m(3, 2, 10)[2] == 18
-    coeffs = gf_in_m(2, 5, 10)
-    assert all(coeffs[m] == inset(m + 3, 2, 5) for m in range(11))
-
-
-def test_gf_in_n_law():
-    order = 20
-    for m in range(7):
-        for k in range(7):
-            coeffs = gf_in_n(m, k, order)
-            for n in range(order + 1):
-                if n + k >= m:
-                    assert coeffs[n] == inset(m, n + k - m, k), (m, k, n)
-
-
-def test_gf_in_n_examples():
-    assert gf_in_n(0, 0, 5) == [1, 2, 4, 8, 16, 32]
-    assert gf_in_n(2, 2, 8)[2] == 13
-    coeffs = gf_in_n(3, 1, 8)
-    assert all(coeffs[n] == inset(3, n - 2, 1) for n in range(2, 9))
-
-
-def test_gf_in_k_law():
-    order = 20
-    for m in range(7):
-        for n in range(7):
-            coeffs = gf_in_k(m, n, order)
-            for k in range(order + 1):
-                assert coeffs[k] == inset(m + k, n, k), (m, n, k)
-
-
-def test_gf_in_k_examples():
-    assert gf_in_k(0, 0, 5) == [1] * 6
-    assert gf_in_k(0, 1, 5)[1] == inset(1, 1, 1) == 3
-    assert gf_in_k(1, 3, 6)[2] == inset(3, 3, 2)
-
-
 @pytest.mark.parametrize(
     "which,builder,constrained",
     [
@@ -186,13 +137,6 @@ BUILDERS = [
 ]
 
 
-@pytest.mark.parametrize("builder,num,den", BUILDERS)
-def test_builders_match_full_expansion_when_powers_exceed_order(builder, num, den):
-    for a, b, order in [(0, 0, 0), (9, 2, 3), (2, 9, 3), (12, 12, 5), (5, 4, 20)]:
-        full = series_div(poly_pow(*num(a, b)), poly_pow(*den(a, b)), order)
-        assert builder(a, b, order) == full, (a, b, order)
-
-
 def test_series_work_follows_the_order_not_the_powers():
     start = time.perf_counter()
     coeffs = gf_in_k(0, 3000, 5)
@@ -201,7 +145,7 @@ def test_series_work_follows_the_order_not_the_powers():
     assert check_coefficients("k", 0, 3000, coeffs) is None
 
 
-ORACLE_ORDERS = (0, 1, 2, 3, 7, 33, 64)
+ORACLE_ORDERS = (0, 1, 2, 3, 5, 7, 20, 33, 64)
 # order-512 parameters of the library benchmark's big-values job (seed 11),
 # and the top of the [100, 300] range it draws them from
 BIG_VALUES = {
