@@ -148,6 +148,12 @@ def test_crosscheck_fixture_with_non_decimal_numbers_is_a_fixture_error(tmp_path
     assert capsys.readouterr() == ("", "error: A000045: malformed line 7: '5 \u0665'\n")
 
 
+def test_negative_argument_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "1", "-3", "2"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 def test_closed_stdout_ends_the_call_quietly(fmt):
     # a reader that stops after 10 bytes of a table of several MB; json then
