@@ -6,9 +6,9 @@ between calls, so ``next(entry.terms(i))`` is term ``i``.  An entry names
 its inset cells (m, n, k) and one of three readers makes its terms: ``_line``
 reads one cell per index with ``inset``, and ``_rows`` reads a two-dimensional
 array one whole row at a time, from a function of the row index that returns
-the row's terms.  The third, ``_recurrence``, serves the six entries that
-walk the recurrence row ``_RECURRENCES`` holds for them from d seed terms,
-with one ``exact_div`` a term.  Each entry also names the fixture
+the row's terms and one that returns its width.  The third, ``_recurrence``,
+serves the six entries that walk the recurrence row ``_RECURRENCES`` holds
+for them from d seed terms, with one ``exact_div`` a term.  Each entry also names the fixture
 it is validated against, and optionally carries a closed form that must
 agree with the inset route term by term.  :func:`validate` takes that
 fixture already parsed, an ``oeis.BFile``, so this module never imports
@@ -24,18 +24,15 @@ a key of ``_RECURRENCES`` walks its row from inset at that cell.  The three
 ``coordination_Z*`` rows read (0, d, d) at index 0, the ball of radius 0.
 The eight other entries are written out whole in the table.
 
-The 40 entries hold 34 streams: six entries are readings of an earlier
-entry's stream.  Its term i is that entry's term i + shift, and its fixture
-is that entry's.  A row with no fixture is a reading, and its source is
-found from the coefficients at import: the earlier row whose line holds the
-reading's cells at a shift s >= 0.  That finds ``crystal_ball_Z1``, ``Z2``
-and ``Z3`` on ``odd_numbers``, ``centered_square`` and
-``centered_octahedral``, ``octahedron_surface`` on ``coordination_Z3``
-shifted by 1, and ``even_squares_sum`` on ``bishop_moves`` shifted by 2.
-Only ``sulanke_odd``, which reads ``sulanke_even`` from index 1, is
-declared by hand.  ``_READINGS`` records all six as key -> (stream key,
-shift).  :func:`validate` still validates each reading on its own, so each
-report keeps its own offset.
+The 40 entries hold 34 streams: six pairs of entries give the same numbers,
+one at an index shift of the other, and the two entries of a pair name the
+same fixture.  The pairs are ``odd_numbers`` and ``crystal_ball_Z1``,
+``centered_square`` and ``crystal_ball_Z2``, ``centered_octahedral`` and
+``crystal_ball_Z3``, ``coordination_Z3`` and ``octahedron_surface``,
+``bishop_moves`` and ``even_squares_sum``, and ``sulanke_even`` and
+``sulanke_odd``.  Each entry makes its terms from its own cells, and
+:func:`validate` validates each on its own, so each report keeps its own
+offset.
 
 Alignment against fixtures is discovered, not transcribed: several named
 sequences are known to sit at a shifted index relative to their customary
@@ -45,7 +42,8 @@ full agreement on an overlap of at least 15 terms.
 Two-dimensional families (Delannoy square, asymmetric Delannoy square,
 Sulanke grid, the two-boundary Pascal triangle, cell-count table) are read
 by antidiagonals resp. rows; the committed fixtures use the same reading.
-A stream builds the rows of its array in order, so no index is decoded
+A stream skips whole rows by their widths up to the row that holds its
+first term and builds the rows in order from there, so no index is decoded
 back into a cell.  Antidiagonal d of the Sulanke grid is one whole inset
 row, the cells (d // 2, d - d // 2, j) for j = 0..d, and row m of the
 Lucas triangle is the row (m, 1, 0..m+1): each is one ``inset_row`` call.
@@ -176,14 +174,19 @@ def _recurrence(key: str, value: Callable[[int], int]) -> Terms:
     return terms
 
 
-def _rows(row: Callable[[int], list[int]]) -> Terms:
-    """The terms of row(0), row(1), ... in turn, each row a list of terms.
+def _rows(row: Callable[[int], list[int]], width: Callable[[int], int]) -> Terms:
+    """The terms of row(0), row(1), ... in turn, row(r) a list of width(r) terms.
 
-    Starting at index i builds the rows that hold the first i terms and skips them.
+    Starting at index i skips the whole rows before the one that holds term i
+    by their widths, without building them.
     """
 
     def terms(start: int) -> Iterator[int]:
-        values = itertools.chain.from_iterable(map(row, itertools.count()))
+        r = 0
+        while start >= width(r):
+            start -= width(r)
+            r += 1
+        values = itertools.chain.from_iterable(map(row, itertools.count(r)))
         return itertools.islice(values, start, None)
 
     return terms
@@ -196,25 +199,20 @@ def _affine(a: int, b: int, index: str) -> str:
     return (index if a == 1 else f"{a}{index}") + (f"{b:+d}" if b else "")
 
 
-def _shift(cell: tuple[int, ...], line: tuple[int, ...]) -> int | None:
-    """The s >= 0 with cell(i) == line(i + s) for every i, else None; each is
-    (a, b, c, d, e, f), the cell (a*i + b, c*i + d, e*i + f) at index i."""
-    slopes, gaps = cell[::2], [x - y for x, y in zip(cell[1::2], line[1::2])]
-    if slopes != line[::2]:
-        return None
-    s = next((gap // a for gap, a in zip(gaps, slopes) if a), 0)
-    return s if s >= 0 and gaps == [a * s for a in slopes] else None
+def _braun_hough_d(n: int) -> range:
+    """The d of the valid cells in row n of the Braun-Hough cell-count table."""
+    return range((2 * n + 2) // 3, (3 * n + 4) // 4 + 1)
 
 
-_sulanke = _rows(lambda d: inset_row(d // 2, d - d // 2, 0, d + 1))
+_sulanke = _rows(lambda d: inset_row(d // 2, d - d // 2, 0, d + 1), lambda d: d + 1)
 _GRID = "parity-split grid read by antidiagonals, anchored on the "
 _BALL = ": lattice points with |x|_1 <= m in Z^"
 _SPHERE = ": lattice points with |x|_1 = m in Z^"
 
-# The catalog in order.  A row, built by _from_row, is (key, fixture or None
-# for a reading, index letter, (a, b, c, d, e, f), the description's words
-# after the cell, start, closed form); the eight entries that read no line
-# of cells are written out whole.
+# The catalog in order.  A row, built by _from_row, is (key, fixture, index
+# letter, (a, b, c, d, e, f), the description's words after the cell, start,
+# closed form); the eight entries that read no line of cells are written out
+# whole.
 _TABLE = [
     ("odd_numbers", "A005408", "m", (1, 0, 0, 1, 0, 1), ": odd numbers 2m+1",
      0, lambda m: 2 * m + 1),
@@ -248,14 +246,14 @@ _TABLE = [
         "delannoy",
         "A008288",
         "Delannoy square D(m,n) = inset(m,n,n), read by antidiagonals",
-        _rows(lambda d: [inset(j, d - j, d - j) for j in range(d + 1)]),
+        _rows(lambda d: [inset(j, d - j, d - j) for j in range(d + 1)], lambda d: d + 1),
     ),
     ("central_delannoy", "A001850", "n", (1, 0, 1, 0, 1, 0), ": central Delannoy numbers", 0, None),
     SequenceEntry(
         "asymmetric_delannoy",
         "A049600",
         "asymmetric Delannoy square inset(m,n,m), read by antidiagonals",
-        _rows(lambda d: [inset(j, d - j, j) for j in range(d + 1)]),
+        _rows(lambda d: [inset(j, d - j, j) for j in range(d + 1)], lambda d: d + 1),
     ),
     ("catalan_scaled", "A051960", "k", (2, 0, 0, 1, 1, 0), " = (3k+2) * Catalan(k)", 0, None),
     SequenceEntry(
@@ -265,11 +263,10 @@ _TABLE = [
         _recurrence("fibonacci", fibonacci_by_insets),
     ),
     SequenceEntry("sulanke_even", "A064861", _GRID + "even corner", _sulanke),
-    # a reading declared by hand: the array is on no line of cells
     SequenceEntry("sulanke_odd", "A064861", _GRID + "first odd cell", _sulanke, start=1),
-    ("crystal_ball_Z1", None, "m", (1, 0, 0, 1, 0, 1), _BALL + "1", 0, None),
-    ("crystal_ball_Z2", None, "m", (1, 0, 0, 2, 0, 2), _BALL + "2", 0, None),
-    ("crystal_ball_Z3", None, "m", (1, 0, 0, 3, 0, 3), _BALL + "3", 0, None),
+    ("crystal_ball_Z1", "A005408", "m", (1, 0, 0, 1, 0, 1), _BALL + "1", 0, None),
+    ("crystal_ball_Z2", "A001844", "m", (1, 0, 0, 2, 0, 2), _BALL + "2", 0, None),
+    ("crystal_ball_Z3", "A001845", "m", (1, 0, 0, 3, 0, 3), _BALL + "3", 0, None),
     ("crystal_ball_Z4", "A001846", "m", (1, 0, 0, 4, 0, 4), _BALL + "4", 0, None),
     ("crystal_ball_Z5", "A001847", "m", (1, 0, 0, 5, 0, 5), _BALL + "5", 0, None),
     # coordination rows read (0, d, d) at index 0: the ball of radius 0
@@ -280,7 +277,7 @@ _TABLE = [
         "lucas_triangle",
         "A029653",
         "rows inset(m,1,k), k = 0..m+1: the (2,1) Pascal triangle",
-        _rows(lambda m: inset_row(m, 1, 0, m + 2)),
+        _rows(lambda m: inset_row(m, 1, 0, m + 2), lambda m: m + 2),
     ),
     ("weak_comp_2zeros", "A058396", "n", (0, 3, 1, 0, 0, 2),
      ": weak compositions of n+1 with exactly two zero parts",
@@ -288,7 +285,7 @@ _TABLE = [
     ("turan_triangles", "A000297", "m", (1, 1, 0, 2, 1, 0),
      ": triangles in the complete multipartite graph K(2,2,1,...,1) with m+1 parts of size 1",
      0, lambda m: binomial(m + 5, 3) - 2 * (m + 3)),
-    ("octahedron_surface", None, "m", (1, 0, 0, 3, 0, 2),
+    ("octahedron_surface", "A005899", "m", (1, 0, 0, 3, 0, 2),
      ": points on the octahedron surface 4(m+1)^2 + 2", 0, lambda m: 4 * (m + 1) * (m + 1) + 2),
     ("ccc_cliques", "A167667", "n", (1, 0, 1, 0, 0, 1),
      " = 3n 2^(n-1): maximum cliques in cube-connected cycles CCC(n), n >= 4",
@@ -299,7 +296,7 @@ _TABLE = [
      ": order-preserving partial self-maps of an (m+1)-set", 0, None),
     ("dyck_central_peak", "A001105", "m", (0, 1, 1, 1, 1, 0), " = 2(m+1)^2",
      0, lambda m: 2 * (m + 1) * (m + 1)),
-    ("even_squares_sum", None, "m", (0, 1, 1, 2, 1, 0), ": sum of the first m+1 even squares",
+    ("even_squares_sum", "A002492", "m", (0, 1, 1, 2, 1, 0), ": sum of the first m+1 even squares",
      0, lambda m: exact_div(2 * (m + 1) * (m + 2) * (2 * m + 3), 3)),
     ("walk_variance", "A072819", "m", (0, 1, 1, 3, 1, 0),
      ": variance of the time a symmetric walk from 0 takes to reach +-(m+2)",
@@ -318,61 +315,29 @@ _TABLE = [
         "braun_hough_cells",
         "braun_hough_cells",
         "inset(2,n-d+2,3d-2n): d-cell counts of the Braun-Hough complexes, valid cells by rows",
-        _rows(lambda n: [
-            inset(2, n - d + 2, 3 * d - 2 * n)
-            for d in range((2 * n + 2) // 3, (3 * n + 4) // 4 + 1)
-        ]),
+        _rows(
+            lambda n: [inset(2, n - d + 2, 3 * d - 2 * n) for d in _braun_hough_d(n)],
+            lambda n: len(_braun_hough_d(n)),
+        ),
     ),
 ]
 
 
-def _from_row(
-    row: tuple,
-    lines: list[tuple[tuple[int, ...], SequenceEntry]],
-    readings: dict[str, tuple[str, int]],
-) -> SequenceEntry:
-    """The entry of one table row.  ``lines`` holds (cell, entry) for each
-    earlier row with a fixture, and a reading is recorded in ``readings``."""
+def _from_row(row: tuple) -> SequenceEntry:
+    """The entry of one table row."""
     key, fixture, index, cell, words, start, closed_form = row
     cells = ",".join(_affine(x, y, index) for x, y in zip(cell[::2], cell[1::2]))
-    description = f"inset({cells}){words}"
-    if fixture is None:
-        for line, source in lines:
-            shift = _shift(cell, line)
-            if shift is not None:
-                break
-        else:
-            raise ValueError(f"reading {key} lies on the line of no earlier row")
-        readings[key] = (source.key, shift)
-        terms = lambda i: source.terms(i + shift)  # noqa: E731
-        return SequenceEntry(key, source.fixture_id, description, terms, start, closed_form)
-
     a, b, c, d, e, f = cell
     ball_at_0 = key.startswith("coordination_")
 
     def at(i: int) -> tuple[int, int, int]:
         return (0, d, d) if ball_at_0 and not i else (a * i + b, c * i + d, e * i + f)
 
-    walked = key in _RECURRENCES
-    terms = _recurrence(key, lambda i: inset(*at(i))) if walked else _line(at)
-    entry = SequenceEntry(key, fixture, description, terms, start, closed_form)
-    lines.append((cell, entry))
-    return entry
+    terms = _recurrence(key, lambda i: inset(*at(i))) if key in _RECURRENCES else _line(at)
+    return SequenceEntry(key, fixture, f"inset({cells}){words}", terms, start, closed_form)
 
 
-def _build_catalog() -> tuple[list[SequenceEntry], dict[str, tuple[str, int]]]:
-    """The entries in order, and the readings: key -> (stream key, shift)."""
-    lines: list[tuple[tuple[int, ...], SequenceEntry]] = []
-    readings = {"sulanke_odd": ("sulanke_even", 0)}
-    entries = [
-        row if isinstance(row, SequenceEntry) else _from_row(row, lines, readings)
-        for row in _TABLE
-    ]
-    return entries, readings
-
-
-# _READINGS: reading key -> (stream key, shift), one item per reading
-_CATALOG, _READINGS = _build_catalog()
+_CATALOG = [row if isinstance(row, SequenceEntry) else _from_row(row) for row in _TABLE]
 _BY_KEY: dict[str, SequenceEntry] = {e.key: e for e in _CATALOG}
 
 

@@ -321,17 +321,6 @@ _HEAVY = {"dataclasses", "inspect", "json", "csv"}
 _ARGPARSE = {"argparse", "gettext", "locale"}
 
 
-@pytest.fixture(scope="module")
-def preloaded():
-    """Modules a bare interpreter already holds, those a site .pth file
-    imports included, which no check here counts against insets."""
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys; print(*sys.modules)"],
-        capture_output=True, text=True, check=True,
-    )
-    return set(result.stdout.split())
-
-
 # one well-formed call of each subcommand, the module it runs, and modules it
 # must not load
 _CALLS = [
@@ -349,22 +338,6 @@ _CALLS = [
 ]
 
 
-@pytest.mark.parametrize("argv,own,absent", _CALLS)
-def test_subcommand_imports_only_its_modules(preloaded, argv, own, absent):
-    # diagnose a failure with: python -X importtime -m insets <argv>
-    for fmt in ("plain", "json", "csv"):
-        result = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT, *argv, "--format", fmt],
-            capture_output=True, text=True, check=True,
-        )
-        code, *loaded = result.stdout.splitlines()
-        assert code == "0"
-        assert f"insets.{own}" in loaded
-        assert sorted(absent.intersection(loaded)) == [], fmt
-        assert sorted((_HEAVY - {fmt}).intersection(loaded) - preloaded) == [], fmt
-        assert sorted(_ARGPARSE.intersection(loaded) - preloaded) == [], fmt
-
-
 def _without_site(*args):
     """``python -S *args`` with this insets on the path: no site .pth file
     preloads anything, so every module the program imports shows."""
@@ -374,23 +347,20 @@ def _without_site(*args):
     ).stdout
 
 
-def test_import_cli_without_site_loads_no_typing():
-    loaded = _without_site("-c", "import sys, insets.cli; print(*sys.modules)").split()
-    assert "insets.cli" in loaded
-    assert "typing" not in loaded
-
-
-@pytest.mark.parametrize(
-    "argv,own", [call[:2] for call in _CALLS], ids=[call[0][0] for call in _CALLS]
-)
-def test_subcommand_without_site_loads_no_typing(argv, own):
-    # nor, but for crosscheck, the fixture reader and the pathlib it imports;
-    # nor re in plain format (the json and csv writers import it themselves)
+@pytest.mark.parametrize("argv,own,absent", _CALLS)
+def test_subcommand_imports_only_its_modules(argv, own, absent):
+    # diagnose a failure with: python -S -X importtime -m insets <argv>
+    # No call loads typing, no call but crosscheck loads the fixture reader or
+    # the pathlib it imports, and no plain call loads re (the json and csv
+    # writers import it themselves).
     reads_fixtures = argv[0] == "crosscheck"
     for fmt in ("plain", "json", "csv"):
         code, *loaded = _without_site("-c", _FOOTPRINT, *argv, "--format", fmt).splitlines()
         assert code == "0"
-        assert f"insets.{own}" in loaded
+        assert {"insets.cli", f"insets.{own}"} <= set(loaded), fmt
+        assert sorted(absent.intersection(loaded)) == [], fmt
+        assert sorted((_HEAVY - {fmt}).intersection(loaded)) == [], fmt
+        assert sorted(_ARGPARSE.intersection(loaded)) == [], fmt
         assert "typing" not in loaded, fmt
         if not reads_fixtures:
             assert {"insets.oeis", "pathlib"}.isdisjoint(loaded), fmt
@@ -487,19 +457,16 @@ def test_benchmark_cli_calls_take_the_fast_path(seed, tiny):
         assert vars(quick) == vars(_PARSER.parse_args(argv))
 
 
-def test_importing_every_submodule_loads_no_dataclasses_or_inspect(preloaded):
+def test_importing_every_submodule_loads_no_dataclasses_or_inspect():
     package = Path(cli.__file__).parent
     names = sorted(p.stem for p in package.glob("*.py") if not p.stem.startswith("__"))
     script = "import importlib, sys\n" + "".join(
         f"importlib.import_module('insets.{name}')\n" for name in names
     ) + "print(*sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True
-    )
-    loaded = set(result.stdout.split())
+    loaded = set(_without_site("-c", script).split())
     assert {f"insets.{name}" for name in names} <= loaded
     assert len(names) >= 8
-    assert sorted({"dataclasses", "inspect"}.intersection(loaded) - preloaded) == []
+    assert sorted({"dataclasses", "inspect"}.intersection(loaded)) == []
 
 
 _README_EXAMPLE = re.compile(r"^insets (.+?)\s+# -> (.+)$")

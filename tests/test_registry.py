@@ -8,12 +8,11 @@ from pathlib import Path
 import pytest
 
 from insets import oeis, oracles, registry
-from insets.core import inset
+from insets.core import inset, inset_row
 from insets.errors import FixtureError
 from insets.oeis import BFile, bfile_name
 from insets.oracles import delannoy_paths, lattice_points, weak_compositions_with_zeros
 from insets.registry import (
-    _READINGS,
     _RECURRENCES,
     exact_div,
     fibonacci_by_insets,
@@ -199,10 +198,11 @@ def test_whole_fixtures_agree():
 
 
 def test_catalog_declares_its_duplicate_streams():
-    # every pair of entries whose first 60 terms agree, second[i] == first[i +
-    # shift] for a shift in -4..4 (keys in sorted order), is a reading the
-    # catalog declares (ROADMAP item 13), at the shift its declaration gives
-    terms = {entry.key: generate(entry.key, 60).values for entry in list_entries()}
+    # the pairs of entries whose first 60 terms agree, second[i] == first[i +
+    # shift] for a shift in -4..4 (keys in sorted order), are exactly the
+    # pairs that name one fixture, at the difference of their fixture offsets
+    entries = list_entries()
+    terms = {entry.key: generate(entry.key, 60).values for entry in entries}
     assert len(terms) == 40
     found = {
         (first, second, shift)
@@ -213,25 +213,15 @@ def test_catalog_declares_its_duplicate_streams():
             for i in range(max(0, -shift), min(60, 60 - shift))
         )
     }
-    declared = set()
-    for reading, (stream, shift) in _READINGS.items():
-        # generated terms begin at each entry's own start
-        lag = get_entry(reading).start + shift - get_entry(stream).start
-        declared.add((stream, reading, lag) if stream < reading else (reading, stream, -lag))
-    assert found == declared
-    # a declaration agrees with itself whatever its shift, so each reading's
-    # terms are held to inset at its own row's cell in the table, or to the
-    # index decoding of its array
-    cells = {row[0]: row[3] for row in registry._TABLE if isinstance(row, tuple)}
-    for reading in _READINGS:
-        start = get_entry(reading).start
-        indices = range(start, start + 60)
-        if reading in cells:
-            a, b, c, d, e, f = cells[reading]
-            expected = [inset(a * i + b, c * i + d, e * i + f) for i in indices]
-        else:
-            expected = [_DECODED[reading][1](i) for i in indices]
-        assert terms[reading] == expected, reading
+    # second[i] == fixture[i + second's offset] == first[i + the difference]
+    offsets = {e.key: validate(e.key, oeis.load(e.fixture_id)).offset for e in entries}
+    shared = {
+        (first.key, second.key, offsets[second.key] - offsets[first.key])
+        for first, second in itertools.combinations(sorted(entries, key=lambda e: e.key), 2)
+        if first.fixture_id == second.fixture_id
+    }
+    assert found == shared
+    assert len(shared) == 6
 
 
 def test_catalog_matches_its_golden():
@@ -268,24 +258,45 @@ def _cell_table_cell(i):
         n += 1
 
 
-# index -> cell decoders, which owe nothing to the streams' cell walks: their oracle
+# index -> (row, place) decoders and the cell at each place, which owe nothing
+# to the streams' row walks: their oracle
 _DECODED = {
-    "delannoy": (2000, lambda i: (lambda d, j: inset(j, d - j, d - j))(*_antidiagonal(i))),
-    "asymmetric_delannoy": (2000, lambda i: (lambda d, j: inset(j, d - j, j))(*_antidiagonal(i))),
-    "sulanke_even": (2000, lambda i: (lambda d, j: inset(*_sulanke(d - j, j)))(*_antidiagonal(i))),
-    "sulanke_odd": (2000, lambda i: (lambda d, j: inset(*_sulanke(d - j, j)))(*_antidiagonal(i))),
-    "lucas_triangle": (300, lambda i: (lambda m, k: inset(m, 1, k))(*_lucas_cell(i))),
-    "braun_hough_cells": (
-        300, lambda i: (lambda n, d: inset(2, n - d + 2, 3 * d - 2 * n))(*_cell_table_cell(i))
-    ),
+    "delannoy": (2000, _antidiagonal, lambda d, j: (j, d - j, d - j)),
+    "asymmetric_delannoy": (2000, _antidiagonal, lambda d, j: (j, d - j, j)),
+    "sulanke_even": (2000, _antidiagonal, lambda d, j: _sulanke(d - j, j)),
+    "sulanke_odd": (2000, _antidiagonal, lambda d, j: _sulanke(d - j, j)),
+    "lucas_triangle": (300, _lucas_cell, lambda m, k: (m, 1, k)),
+    "braun_hough_cells": (300, _cell_table_cell, lambda n, d: (2, n - d + 2, 3 * d - 2 * n)),
 }
 
 
 @pytest.mark.parametrize("key", sorted(_DECODED))
-def test_array_streams_match_index_decoding(key):
-    count, term = _DECODED[key]
+def test_array_streams_match_index_decoding(key, monkeypatch):
+    count, locate, cell = _DECODED[key]
     start = get_entry(key).start
-    assert generate(key, count).values == [term(start + i) for i in range(count)]
+    expected = [inset(*cell(*locate(start + i))) for i in range(count)]
+    assert generate(key, count).values == expected
+    # a far start skips the rows before its term unbuilt: it reads the cells
+    # of the row that holds term i, each once, and no other cell
+    read = []
+
+    def recording(m, n, k):
+        read.append((m, n, k))
+        return inset(m, n, k)
+
+    def recording_row(m, n, lo, hi):
+        read.extend((m, n, k) for k in range(lo, hi))
+        return inset_row(m, n, lo, hi)
+
+    monkeypatch.setattr(registry, "inset", recording)
+    monkeypatch.setattr(registry, "inset_row", recording_row)
+    for i in (5000, 20000):
+        read.clear()
+        row = locate(i)[0]
+        first = next(j for j in itertools.count(i, -1) if not j or locate(j - 1)[0] != row)
+        end = next(j for j in itertools.count(i + 1) if locate(j)[0] != row)
+        assert next(get_entry(key).terms(i)) == inset(*cell(*locate(i))), i
+        assert sorted(read) == sorted(cell(*locate(j)) for j in range(first, end)), i
 
 
 @pytest.mark.parametrize("entry", list_entries(), ids=lambda e: e.key)
