@@ -57,10 +57,10 @@ MAX_SERIES_ORDER = 512
 # process, gf_in_k(0, b, 512) and its decimal strings took 0.33 s at
 # b = 20000 and 1.23 s at b = 40000
 MAX_SERIES_PARAM = 20_000
-# `verify all 32 32` took 0.68-0.85 s and 23.4 MB peak RSS as a process on a
+# `verify all 32 32` took 0.15-0.21 s and 20.1 MB peak RSS as a process on a
 # 2-core VM with Python 3.11.7, measured as above; in process verify_all took
-# 0.05 s at 16 x 16, 0.58 s at 32 x 32 and 0.89 s at 36 x 36, so the cost
-# grows about as the 3.5th power of the bound
+# 0.017 s at 16 x 16, 0.11 s at 32 x 32 and 0.15 s at 36 x 36, so the cost
+# grows about as the cube of the bound
 MAX_VERIFY_GRID = 32
 # `table` prints (m_max + 1) (n + 1 + m_max/2) values of up to n + m_max bits.
 # With n + m_max = 700 it took at most 1.6 s (`table 350 350 --format csv`)

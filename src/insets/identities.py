@@ -40,46 +40,62 @@ report: m outer, n inner.
 
 A checker walks that grid once.  It takes the table and yields, for each
 (m, n) in turn, None or the first comparison there that fails, and the report
-carries the first one it yields.  Each (m, n) covers all its k at once: the
-checker builds the right-hand row from rows of the table and compares it with
-the left-hand row in one ``==``.  Only a row that fails is scanned for its
-first differing k.  An identity with an auxiliary p compares one row per p,
-and reports the failure first in (k, p) order.  Whatever a checker carries
-from one (m, n) to the next is a local of its walk, and goes when the walk
-stops.
+carries the first one it yields; a checker may stop yielding once none of its
+comparisons can fail.  Each (m, n) covers all its k at once: the checker
+builds the right-hand row from rows of the table and compares it with the
+left-hand row in one ``==``.  Only a row that fails is scanned for its first
+differing k.  Whatever a checker carries from one (m, n) to the next is a
+local of its walk, and goes when the walk stops.
 
-``pascal``, ``vertical``, ``doubling``, ``telescoping``, ``binomial_sum`` and
-``first_row`` carry nothing: each checks one (m, n), and ``_each_cell`` walks
-it over the grid.  ``pascal``, ``vertical`` and ``doubling`` add
-neighbouring rows, and ``telescoping`` sums over p as one running row.
-``binomial_sum`` and ``shifted_window`` sum Pascal rows weighted by C(n, .):
-C(m+i, k) and C(k+i, k) as rows over k.  The ``horizontal_*`` checkers share
-``_running_sums``, which keeps for each n the running sum of the rows
-f(0..m, n, .), one k longer each m.  ``parity_shift`` keeps the parity rows
-of the current m.
+``pascal``, ``vertical``, ``doubling``, ``telescoping``, ``parity_shift`` and
+``first_row`` carry nothing: each checks one (m, n) from neighbouring rows,
+and ``_each_cell`` walks it over the grid.  The ``horizontal_*`` checkers
+share ``_running_sums``, which keeps for each n the running sum of the rows
+f(0..m, n, .), one k longer each m.
 
-Three identities have an inner sum over an auxiliary index p, and
-re-summing it for every p costs O(p^2) work per grid cell.  Instead the
-checker keeps the current step m of a transform of the rows, and moves it to
-m+1 with one subtraction per entry when its walk reaches m+1 (Graham, Knuth
-and Patashnik, *Concrete Mathematics*, 2nd ed., section 5.3).  Each entry is
-a row over k:
+No checker re-sums an inner sum over an auxiliary index p on a passing grid,
+so each (m, n) costs O(m + n) row entries where re-summing costs O(p^2)
+(Graham, Knuth and Patashnik, *Concrete Mathematics*, 2nd ed., section 5.3).
+The report is still the first failure of the term-by-term forms, p included:
 
-* ``alternating_shift``: the right-hand side at p is the p-th forward
-  difference Delta^p f(m-p+1, ., .) along n, taken at n-1.  D[x] holds these
-  differences at x for p = 0..m.  It steps to m at the first n >= 1 of each
-  m, as D[x] <- [f(m+1, x, .), *(D[x+1] - D[x])], so a grid with n_max = 0
-  reads none of it.
-* ``zeros_placement``: the right-hand side at p is the binomial transform
+* ``telescoping`` and ``parity_shift`` compare at p = 1 alone.  At (m, n, k),
+  lhs - rhs at p less lhs - rhs at p-1 is lhs - rhs of the p = 1 comparison
+  at (m, n-p+1, k-p+1), mod 2 for ``parity_shift``.  For p > 1 that is at a
+  smaller n, which the walk has passed, so a failure at p > 1 follows a
+  failure at p = 1 in the report's order.  The first counterexample, with its
+  lhs and rhs, is therefore a p = 1 one.
+* ``alternating_shift`` and ``zeros_placement`` first check a certificate,
+  the vertical residual R(a, y) = f(a, y, .) - f(a, y-1, .) - f(a+1, y-1, .)
+  on whole rows.  Their lhs - rhs at p is a fixed combination of residuals:
+  sum_{i<=j<p} C(j,i) R(m+i, n-j) for ``zeros_placement``, and for
+  ``alternating_shift`` a signed one of the R(b, y) with m-p+1 <= b <= m,
+  y >= n and b + y <= m + n.  The certificate covers 1 <= y <= n_max and
+  a + y <= m_max + n_max for ``zeros_placement``, and 1 <= a <= m_max, y >= 1
+  and a + y <= m_max + n_max for ``alternating_shift`` (nothing where
+  n_max = 0, which has no comparison).  Where every residual is zero the grid
+  passes.  Only where one is not does the transform walk run, to find the
+  exact first counterexample.  It keeps the current step m of a transform of
+  the rows, and moves it to m+1 with one subtraction per entry; each entry
+  is a row over k.  For ``alternating_shift`` the right-hand side at p is the
+  p-th forward difference Delta^p f(m-p+1, ., .) along n, taken at n-1.
+  D[x] holds these differences at x for p = 0..m, and steps to m at the
+  first n >= 1 of each m, as D[x] <- [f(m+1, x, .), *(D[x+1] - D[x])].  For
+  ``zeros_placement`` the right-hand side at p is the binomial transform
   sum_i C(p,i) f(m+i, n-p, .).  D[n] holds these for p = 0..n, the one at p
   in entry n-p.  It steps to m+1 as D[n] <- D[n+1] - D[n], entry by entry,
   and the top D[n_max] is summed afresh from the rows of cells, one
   Pascal-row sum per entry.
-* ``convolution``: the inner sums sum_j C(i,j) C(m, k-i+j) form one table
-  per m, which steps to m+1 by Pascal's rule, so each cell is one sum over i.
+* ``binomial_sum``, ``convolution`` and ``shifted_window`` step their
+  closed-form side in m, by Pascal's rule on the binomial factor that holds
+  m: C(m+i, k), C(m, .) and C(k+m-j, k).  The first two each give
+  s_m(n, k) = s_{m-1}(n, k) + s_{m-1}(n, k-1) from their own row at m = 0.
+  ``shifted_window``'s sum_j C(n,j) C(k+m-j, k) is C(n, m) plus the running
+  sum over k of its row at m-1.  No side is built from a relation among
+  inset values.
 
-The transforms read whole rows, k = 0..m_max + n_max + 2, one cell short of
-the table's rows; every other row stops where the term-by-term forms above
+The certificates and transforms read whole rows, k = 0..m_max + n_max + 2,
+one cell short of the table's rows, and a certificate reads the rows its
+transform reads; every other row stops where the term-by-term forms above
 stop reading.  Every comparison, with its lhs and rhs values, is one those
 forms make, and the report carries the first that fails, in their order.
 """
@@ -88,7 +104,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from itertools import product, zip_longest
+from itertools import accumulate, product, zip_longest
 from operator import add, mul, sub
 
 from . import _EXPORTS
@@ -127,9 +143,10 @@ class _Table(dict):
     row comes whole from one ``inset_row`` call.  With an injected
     ``inset_fn`` it starts as ``_UNREAD`` cells, and a cell is asked of the
     source the first time it is read, then kept in the row.
-    The table also holds the Pascal rows C(p, 0..p) for p <= ``m_max + n_max``
-    and the bounds of the grid.  It keeps nothing of any identity, so an
-    identity that stops early leaves nothing behind for the next one.
+    The table also holds the Pascal rows C(p, 0..p) for p <= ``n_max``, the
+    only ones a checker reads, and the bounds of the grid.  It keeps nothing
+    of any identity, so an identity that stops early leaves nothing behind
+    for the next one.
     """
 
     def __init__(self, m_max: int, n_max: int, inset_fn: InsetFn | None) -> None:
@@ -138,7 +155,7 @@ class _Table(dict):
         self.inset_fn = inset_fn
         self.m_max, self.n_max = m_max, n_max
         self.width = m_max + n_max + 4
-        self.pascal = [[math.comb(p, j) for j in range(p + 1)] for p in range(m_max + n_max + 1)]
+        self.pascal = [[math.comb(p, j) for j in range(p + 1)] for p in range(n_max + 1)]
 
     def __missing__(self, key: tuple[int, int]) -> list:
         # ``inset_row`` is looked up per row, so it can be patched in tests
@@ -161,7 +178,8 @@ class _Table(dict):
 
 
 _Found = tuple[tuple[int, ...], int, int] | None  # None or (params, lhs, rhs)
-# table -> one _Found for each (m, n) of table.grid(), in that order
+# table -> one _Found for each (m, n) of table.grid(), in that order, or
+# fewer once none of the rest can fail
 _Checker = Callable[[_Table], Iterator[_Found]]
 
 
@@ -211,6 +229,14 @@ def _check_doubling(f, m, n):
 
 
 def _check_alternating_shift(f):
+    # every comparison holds once the vertical residuals vanish at
+    # 1 <= a <= m_max, y >= 1, a + y <= m_max + n_max; with n_max = 0 there
+    # is no comparison
+    if f.n_max and not _residuals_vanish(f, 1, f.m_max, f.m_max + f.n_max):
+        yield from _alternating_shift_walk(f)
+
+
+def _alternating_shift_walk(f):
     # rhs at p is the p-th forward difference of f(m-p+1, ., k), at n-1:
     # cols[x][p] = sum_i (-1)^i C(p,i) f(m-p+1, x+p-i, .) for p <= m
     width = f.width - 1  # k = 0..m_max + n_max + 2
@@ -224,6 +250,22 @@ def _check_alternating_shift(f):
                     for x, (col, nxt) in enumerate(zip(cols, cols[1:]))]
         lhs = f.row(m + 1, n - 1, 0, m + n + 3)
         yield _least(enumerate(_compare((m, n), lhs, rhs[:m + n + 3]) for rhs in cols[n - 1]))
+
+
+def _residuals_vanish(f, a_lo, a_hi, y_hi):
+    """Whether the vertical residual f(a, y, .) - f(a, y-1, .) - f(a+1, y-1, .)
+    is zero on whole rows, k = 0..m_max + n_max + 2, at every a_lo <= a <= a_hi
+    and 1 <= y <= y_hi with a + y <= m_max + n_max."""
+    top, width = f.m_max + f.n_max, f.width - 1
+    for y in range(1, y_hi + 1):
+        hi = min(a_hi, top - y)
+        if hi < a_lo:
+            break
+        below = [f.row(a, y - 1, 0, width) for a in range(a_lo, hi + 2)]
+        if any(f.row(a, y, 0, width) != list(map(add, left, right))
+               for a, left, right in zip(range(a_lo, hi + 1), below, below[1:])):
+            return False
+    return True
 
 
 def _running_sums(f, span):
@@ -260,22 +302,24 @@ def _check_horizontal_tail(f):
 
 @_each_cell
 def _check_telescoping(f, m, n):
+    # p = 1 alone: lhs - rhs at p, less that at p-1, is lhs - rhs of the p = 1
+    # comparison at (m, n-p+1, k-p+1), made earlier in the walk
     if n < 1:
         return None
-    top = f.row(m, n, 1, m + n + 3)  # f(m, n, k) for k >= 1
-    tail = [0] * (m + n + 3)
-    found = []
-    for p in range(1, n + 1):
-        # rows over k = p..m+n+2: f(m, n-p, k-p), and the running sum
-        # tail[k-p] = sum_{i=1..p} f(m, n-i, k-i+1), one row more each p
-        shifted = f.row(m, n - p, 0, m + n - p + 4)
-        tail = list(map(add, tail[1:], shifted[1:]))
-        lhs = list(map(sub, top[p - 1:], shifted))
-        found.append((p, _compare((m, n), lhs, list(map(add, tail, tail)), p)))
-    return _least(found)
+    below = f.row(m, n - 1, 0, m + n + 3)
+    lhs = list(map(sub, f.row(m, n, 1, m + n + 3), below))  # k = 1..m+n+2
+    bad = _compare((m, n), lhs, [v + v for v in below[1:]], 1)
+    return bad and ((*bad[0], 1), *bad[1:])
 
 
 def _check_zeros_placement(f):
+    # every comparison holds once the vertical residuals vanish at
+    # 1 <= y <= n_max, a + y <= m_max + n_max
+    if not _residuals_vanish(f, 0, f.m_max + f.n_max, f.n_max):
+        yield from _zeros_placement_walk(f)
+
+
+def _zeros_placement_walk(f):
     # rhs at p is the binomial transform of f(., n-p, .), taken at p:
     # diags[n][n'] = sum_i C(n-n',i) f(m+i, n', .) for n' <= n
     # the rows f(i, n', 0..m_max + n_max + 2) the transform reads, each once
@@ -297,55 +341,58 @@ def _check_zeros_placement(f):
         yield _least((p, _compare((m, n), lhs, diags[n][n - p][:m + n + 3])) for p in range(n + 1))
 
 
-@_each_cell
-def _check_binomial_sum(f, m, n):
-    # C(m+i, k) down the Pascal rows m..m+n, 0 past each row's end and at
-    # k = m+n+1, m+n+2
-    cols = zip_longest(*f.pascal[m:m + n + 1], fillvalue=0)
-    rhs = [*(sum(map(mul, f.pascal[n], col)) for col in cols), 0, 0]
-    return _compare((m, n), f.row(m, n, 0, m + n + 3), rhs)
+def _stepped(first):
+    """The checker of f(m, n, k) = s_m(n, k), where s_0(n, .) = ``first(f, n)``
+    over k = 0..n and s_m(n, k) = s_{m-1}(n, k) + s_{m-1}(n, k-1): Pascal's
+    rule on the binomial factor of s that holds m.  s_m(n, k) = 0 past k = m+n."""
+    def check(f):
+        rows = [first(f, n) for n in range(f.n_max + 1)]
+        for m, n in f.grid():
+            if m > 0:
+                rows[n] = list(map(add, [*rows[n], 0], [0, *rows[n]]))
+            yield _compare((m, n), f.row(m, n, 0, m + n + 3), [*rows[n], 0, 0])
+    return check
 
 
-def _check_convolution(f):
-    # inner[k][i] = sum_j C(i,j) C(m, k-i+j) for k <= m + n_max + 2, 0 past
-    # k = m + n_max: C(i, k) at m = 0, moved to m+1 by Pascal's rule
-    inner = [[row[k] if k < len(row) else 0 for row in f.pascal[:f.n_max + 1]]
-             for k in range(f.n_max + 3)]
-    zero = [0] * (f.n_max + 1)
-    for m, n in f.grid():
-        if m > 0 and n == 0:
-            inner = [list(map(add, a, b)) for a, b in zip([*inner, zero], [zero, *inner])]
-        rhs = [sum(map(mul, f.pascal[n], sums)) for sums in inner[:m + n + 3]]
-        yield _compare((m, n), f.row(m, n, 0, m + n + 3), rhs)
+@_stepped
+def _check_binomial_sum(f, n):
+    # sum_i C(n,i) C(m+i, k) at m = 0; C(m+i, k) steps in m
+    cols = zip_longest(*f.pascal[:n + 1], fillvalue=0)
+    return [sum(map(mul, f.pascal[n], col)) for col in cols]
+
+
+@_stepped
+def _check_convolution(f, n):
+    # sum_{i,j} C(n,i) C(i,j) C(m, k-i+j) at m = 0, where only j = i-k is
+    # left; C(m, .) steps in m
+    return [sum(f.pascal[n][i] * f.pascal[i][i - k] for i in range(k, n + 1))
+            for k in range(n + 1)]
 
 
 def _check_shifted_window(f):
-    # C(i+k, k) for i <= m_max and k <= m_max + n_max + 2
-    square = [[math.comb(i + k, k) for k in range(f.width - 1)]
-              for i in range(f.m_max + 1)]
+    # rhs(m, n, k) = sum_j C(n,j) C(k+m-j, k) over j <= min(m, n), as a row
+    # over k = 0..m_max + n_max + 2; Pascal's rule on C(k+m-j, k) makes it
+    # C(n, m) plus the running sum of the row of m-1
+    rows = [[0] * (f.width - 1) for _ in range(f.n_max + 1)]
     for m, n in f.grid():
+        rows[n] = rhs = list(accumulate(rows[n], initial=math.comb(n, m)))[1:]
         lo = max(0, n - m)  # m + k >= n
         lhs = [f.row(m + k - n, n, k, k + 1)[0] for k in range(lo, m + n + 3)]
-        # C(n, m-i) C(k+i, k) for i = max(0, m-n)..m
-        coeffs = f.pascal[n][min(m, n)::-1]
-        cols = zip(*(row[lo:m + n + 3] for row in square[max(0, m - n):m + 1]))
-        yield _compare((m, n), lhs, [sum(map(mul, coeffs, col)) for col in cols], lo)
+        yield _compare((m, n), lhs, rhs[lo:m + n + 3], lo)
 
 
-def _check_parity_shift(f):
-    for m, n in f.grid():
-        ref = f.row(m, n, 0, m + n + 3)
-        # the parities of the rows f(m, n', .) for n' <= n; f(m, n-p, k-p) for
-        # k = p..m+n+2 is the whole row of n' = n-p
-        if n == 0:
-            parities = []
-        parities.append(list(map((1).__and__, ref)))
-        bad = _least((p, _compare((m, n), parities[n - p], parities[n][p:], p))
-                     for p in range(1, n + 1))
-        if bad is not None:
-            (_, _, k, p), _, _ = bad
-            bad = bad[0], f.row(m, n - p, k - p, k - p + 1)[0], ref[k]
-        yield bad
+@_each_cell
+def _check_parity_shift(f, m, n):
+    # p = 1 alone: the comparison at p, less that at p-1, is the p = 1
+    # comparison at (m, n-p+1, k-p+1) mod 2, made earlier in the walk
+    if n < 1:
+        return None
+    lhs, rhs = f.row(m, n - 1, 0, m + n + 2), f.row(m, n, 1, m + n + 3)  # k = 1..m+n+2
+    bad = _compare((m, n), [v & 1 for v in lhs], [v & 1 for v in rhs], 1)
+    if bad is None:
+        return None
+    (_, _, k), _, _ = bad
+    return (m, n, k, 1), lhs[k - 1], rhs[k - 1]
 
 
 @_each_cell
