@@ -34,9 +34,8 @@ once, zeros past k = m + n, from one ``inset_row`` walk along k with one
 exact division a cell.  With an injected ``inset_fn`` the row starts unread,
 and each read fills the cells it covers that are still unread, asking the
 source for each in ascending k; a cell once asked is never asked again, so
-the source is asked exactly the cells the checkers read.  The table also
-holds the Pascal rows, and its ``grid()`` states the one walk order of every
-report: m outer, n inner.
+the source is asked exactly the cells the checkers read.  The table's
+``grid()`` states the one walk order of every report: m outer, n inner.
 
 A checker walks that grid once.  It takes the table and yields, for each
 (m, n) in turn, None or the first comparison there that fails, and the report
@@ -73,18 +72,9 @@ The report is still the first failure of the term-by-term forms, p included:
   a + y <= m_max + n_max for ``zeros_placement``, and 1 <= a <= m_max, y >= 1
   and a + y <= m_max + n_max for ``alternating_shift`` (nothing where
   n_max = 0, which has no comparison).  Where every residual is zero the grid
-  passes.  Only where one is not does the transform walk run, to find the
-  exact first counterexample.  It keeps the current step m of a transform of
-  the rows, and moves it to m+1 with one subtraction per entry; each entry
-  is a row over k.  For ``alternating_shift`` the right-hand side at p is the
-  p-th forward difference Delta^p f(m-p+1, ., .) along n, taken at n-1.
-  D[x] holds these differences at x for p = 0..m, and steps to m at the
-  first n >= 1 of each m, as D[x] <- [f(m+1, x, .), *(D[x+1] - D[x])].  For
-  ``zeros_placement`` the right-hand side at p is the binomial transform
-  sum_i C(p,i) f(m+i, n-p, .).  D[n] holds these for p = 0..n, the one at p
-  in entry n-p.  It steps to m+1 as D[n] <- D[n+1] - D[n], entry by entry,
-  and the top D[n_max] is summed afresh from the rows of cells, one
-  Pascal-row sum per entry.
+  passes.  Only where one is not are the term-by-term forms above compared,
+  each (m, n) on rows over k for every p in turn, for the exact first
+  counterexample.
 * ``binomial_sum``, ``convolution`` and ``shifted_window`` step their
   closed-form side in m, by Pascal's rule on the binomial factor that holds
   m: C(m+i, k), C(m, .) and C(k+m-j, k).  The first two each give
@@ -93,9 +83,8 @@ The report is still the first failure of the term-by-term forms, p included:
   sum over k of its row at m-1.  No side is built from a relation among
   inset values.
 
-The certificates and transforms read whole rows, k = 0..m_max + n_max + 2,
-one cell short of the table's rows, and a certificate reads the rows its
-transform reads; every other row stops where the term-by-term forms above
+The certificates read whole rows, k = 0..m_max + n_max + 2, one cell short
+of the table's rows; every other row stops where the term-by-term forms above
 stop reading.  Every comparison, with its lhs and rhs values, is one those
 forms make, and the report carries the first that fails, in their order.
 """
@@ -104,7 +93,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from itertools import accumulate, product, zip_longest
+from itertools import accumulate, product
 from operator import add, mul, sub
 
 from . import _EXPORTS
@@ -142,11 +131,9 @@ class _Table(dict):
     checker reads a larger k, so every read falls inside it.  By default the
     row comes whole from one ``inset_row`` call.  With an injected
     ``inset_fn`` it starts as ``_UNREAD`` cells, and a cell is asked of the
-    source the first time it is read, then kept in the row.
-    The table also holds the Pascal rows C(p, 0..p) for p <= ``n_max``, the
-    only ones a checker reads, and the bounds of the grid.  It keeps nothing
-    of any identity, so an identity that stops early leaves nothing behind
-    for the next one.
+    source the first time it is read, then kept in the row.  The table also
+    holds the bounds of the grid.  It keeps nothing of any identity, so an
+    identity that stops early leaves nothing behind for the next one.
     """
 
     def __init__(self, m_max: int, n_max: int, inset_fn: InsetFn | None) -> None:
@@ -155,7 +142,6 @@ class _Table(dict):
         self.inset_fn = inset_fn
         self.m_max, self.n_max = m_max, n_max
         self.width = m_max + n_max + 4
-        self.pascal = [[math.comb(p, j) for j in range(p + 1)] for p in range(n_max + 1)]
 
     def __missing__(self, key: tuple[int, int]) -> list:
         # ``inset_row`` is looked up per row, so it can be patched in tests
@@ -203,6 +189,12 @@ def _least(found):
     return min((((*bad[0], p), *bad[1:]) for p, bad in found if bad is not None), default=None)
 
 
+def _row_sum(f, hi, terms):
+    """sum c f(a, y, k) over the (c, a, y) of ``terms``, a row over 0 <= k < hi."""
+    weights, rows = zip(*((c, f.row(a, y, 0, hi)) for c, a, y in terms))
+    return [sum(map(mul, weights, col)) for col in zip(*rows)]
+
+
 @_each_cell
 def _check_pascal(f, m, n):
     if m < 1:
@@ -233,23 +225,18 @@ def _check_alternating_shift(f):
     # 1 <= a <= m_max, y >= 1, a + y <= m_max + n_max; with n_max = 0 there
     # is no comparison
     if f.n_max and not _residuals_vanish(f, 1, f.m_max, f.m_max + f.n_max):
-        yield from _alternating_shift_walk(f)
+        yield from _alternating_shift_terms(f)
 
 
-def _alternating_shift_walk(f):
-    # rhs at p is the p-th forward difference of f(m-p+1, ., k), at n-1:
-    # cols[x][p] = sum_i (-1)^i C(p,i) f(m-p+1, x+p-i, .) for p <= m
-    width = f.width - 1  # k = 0..m_max + n_max + 2
-    cols = [[]] * (f.m_max + f.n_max + 1)
-    for m, n in f.grid():
-        if n < 1:
-            yield None
-            continue
-        if n == 1:  # step to m: a fresh f(m+1, x, .), then cols[x+1] - cols[x]
-            cols = [[f.row(m + 1, x, 0, width), *(list(map(sub, b, a)) for a, b in zip(col, nxt))]
-                    for x, (col, nxt) in enumerate(zip(cols, cols[1:]))]
-        lhs = f.row(m + 1, n - 1, 0, m + n + 3)
-        yield _least(enumerate(_compare((m, n), lhs, rhs[:m + n + 3]) for rhs in cols[n - 1]))
+@_each_cell
+def _alternating_shift_terms(f, m, n):
+    if n < 1:
+        return None
+    hi = m + n + 3
+    lhs = f.row(m + 1, n - 1, 0, hi)
+    sides = (_row_sum(f, hi, [((-1) ** i * math.comb(p, i), m - p + 1, n + p - 1 - i)
+                              for i in range(p + 1)]) for p in range(m + 1))
+    return _least(enumerate(_compare((m, n), lhs, rhs) for rhs in sides))
 
 
 def _residuals_vanish(f, a_lo, a_hi, y_hi):
@@ -289,7 +276,7 @@ def _running_sums(f, span):
 def _check_horizontal_full(f):
     for m, n, sums in _running_sums(f, lambda m, n: (0, m + n + 3)):
         # 2^(n-k-1) C(n,k+1) for k < n, then 0
-        head = [c << (n - k - 1) for k, c in enumerate(f.pascal[n][1:])]
+        head = [math.comb(n, k + 1) << (n - k - 1) for k in range(n)]
         rhs = [*map(add, head, sums), *sums[n:]]
         yield _compare((m, n), f.row(m + 1, n, 1, m + n + 4), rhs)
 
@@ -316,29 +303,16 @@ def _check_zeros_placement(f):
     # every comparison holds once the vertical residuals vanish at
     # 1 <= y <= n_max, a + y <= m_max + n_max
     if not _residuals_vanish(f, 0, f.m_max + f.n_max, f.n_max):
-        yield from _zeros_placement_walk(f)
+        yield from _zeros_placement_terms(f)
 
 
-def _zeros_placement_walk(f):
-    # rhs at p is the binomial transform of f(., n-p, .), taken at p:
-    # diags[n][n'] = sum_i C(n-n',i) f(m+i, n', .) for n' <= n
-    # the rows f(i, n', 0..m_max + n_max + 2) the transform reads, each once
-    rows = [[f.row(i, n, 0, f.width - 1) for i in range(f.m_max + f.n_max - n + 1)]
-            for n in range(f.n_max + 1)]
-
-    def pascal_sums(m, n):
-        """sum_i C(n-n',i) rows[n'][m+i] for n' = 0..n, each a row over k."""
-        return [[sum(map(mul, f.pascal[n - j], col)) for col in zip(*run[m:m + n - j + 1])]
-                for j, run in enumerate(rows[:n + 1])]
-
-    diags = [pascal_sums(0, n) for n in range(f.n_max + 1)]
-    for m, n in f.grid():
-        if m > 0 and n == 0:  # step to m: diags[n+1] - diags[n], and the top afresh
-            diags = [*([list(map(sub, b, a)) for a, b in zip(diag, nxt)]
-                       for diag, nxt in zip(diags, diags[1:])),
-                     pascal_sums(m, f.n_max)]
-        lhs = f.row(m, n, 0, m + n + 3)
-        yield _least((p, _compare((m, n), lhs, diags[n][n - p][:m + n + 3])) for p in range(n + 1))
+@_each_cell
+def _zeros_placement_terms(f, m, n):
+    hi = m + n + 3
+    lhs = f.row(m, n, 0, hi)
+    sides = (_row_sum(f, hi, [(math.comb(p, i), m + i, n - p) for i in range(p + 1)])
+             for p in range(n + 1))
+    return _least(enumerate(_compare((m, n), lhs, rhs) for rhs in sides))
 
 
 def _stepped(first):
@@ -357,15 +331,15 @@ def _stepped(first):
 @_stepped
 def _check_binomial_sum(f, n):
     # sum_i C(n,i) C(m+i, k) at m = 0; C(m+i, k) steps in m
-    cols = zip_longest(*f.pascal[:n + 1], fillvalue=0)
-    return [sum(map(mul, f.pascal[n], col)) for col in cols]
+    return [sum(math.comb(n, i) * math.comb(i, k) for i in range(k, n + 1))
+            for k in range(n + 1)]
 
 
 @_stepped
 def _check_convolution(f, n):
     # sum_{i,j} C(n,i) C(i,j) C(m, k-i+j) at m = 0, where only j = i-k is
     # left; C(m, .) steps in m
-    return [sum(f.pascal[n][i] * f.pascal[i][i - k] for i in range(k, n + 1))
+    return [sum(math.comb(n, i) * math.comb(i, i - k) for i in range(k, n + 1))
             for k in range(n + 1)]
 
 
@@ -399,7 +373,7 @@ def _check_parity_shift(f, m, n):
 def _check_first_row(f, m, n):
     if m != 0:
         return None
-    rhs = [c << (n - k) for k, c in enumerate(f.pascal[n])]  # 2^(n-k) C(n,k)
+    rhs = [math.comb(n, k) << (n - k) for k in range(n + 1)]  # 2^(n-k) C(n,k)
     return _compare((0, n), f.row(0, n, 0, n + 3), [*rhs, 0, 0])
 
 

@@ -140,13 +140,13 @@ def test_default_source_inset_calls(monkeypatch):
 
 def test_passing_grids_never_walk_the_transforms(monkeypatch):
     # once the vertical residuals vanish no comparison can fail, so a passing
-    # grid never starts a transform walk; a certificate that always failed
-    # would report the same, only slower
+    # grid never compares the term-by-term forms; a certificate that always
+    # failed would report the same, only slower
     def refused(f):
-        raise AssertionError("transform walk entered")
+        raise AssertionError("term-by-term forms compared")
 
-    monkeypatch.setattr(identities, "_alternating_shift_walk", refused)
-    monkeypatch.setattr(identities, "_zeros_placement_walk", refused)
+    monkeypatch.setattr(identities, "_alternating_shift_terms", refused)
+    monkeypatch.setattr(identities, "_zeros_placement_terms", refused)
     assert all(report.passed for report in verify_all(18, 18))
 
 
@@ -200,7 +200,9 @@ def test_verify_all_shares_one_table():
 # anything where n_max = 0; the certificates of alternating_shift on 0 x 5 and
 # of zeros_placement on 5 x 0 read nothing, as those grids have no comparison
 # that could fail.  Each other count is unchanged, since a certificate reads
-# the rows its transform reads.
+# the rows the transform walk it came before read.  Those walks are gone: a
+# grid whose certificate fails compares the term-by-term forms, which no
+# passing grid reaches.
 CELLS_ASKED = {
     (6, 6): [483, 558, 483, 945, 672, 392, 476, 1050, 441, 441, 385, 434, 42],
     (3, 9): [390, 495, 396, 630, 525, 200, 392, 1275, 360, 360, 230, 356, 75],
@@ -225,10 +227,12 @@ def test_cells_asked_per_identity(grid):
     assert counts == CELLS_ASKED[grid]
 
 
-# The three identities with a transformed inner sum on non-square grids, with
-# +1 planted at the far end of a run (alternating_shift: f(m', ., k) along n,
+# The three identities with an inner sum on non-square grids, with +1 planted
+# at the far end of a run (alternating_shift: f(m', ., k) along n,
 # zeros_placement: f(., n', k) along m) or at the last cell of the grid
-# (convolution).  Recorded with the same term-by-term sums.
+# (convolution).  Recorded with the same term-by-term sums.  The 18 x 18 rows
+# were recorded while difference and binomial transform walks found the
+# counterexample.
 NON_SQUARE_GOLDEN = [
     ("alternating_shift", (3, 9), (1, 11, 7), (3, 9, 7, 3), 9424, 9425),
     ("alternating_shift", (9, 3), (1, 11, 7), (9, 3, 7, 9), 1572, 1573),
@@ -238,6 +242,11 @@ NON_SQUARE_GOLDEN = [
     ("zeros_placement", (9, 3), (11, 1, 7), (9, 3, 7, 2), 2178, 2179),
     ("zeros_placement", (3, 9), (12, 0, 14), (3, 9, 14, 9), 0, 1),
     ("zeros_placement", (9, 3), (12, 0, 14), (9, 3, 14, 3), 0, 1),
+    # the benchmark's grid, where p reaches 18
+    ("alternating_shift", (18, 18), (18, 18, 36), (18, 18, 36, 1), 1, 2),
+    ("alternating_shift", (18, 18), (9, 27, 18), (18, 18, 18, 10), 5703029112297, 5703029112298),
+    ("alternating_shift", (18, 18), (1, 35, 10), (18, 18, 10, 18), 1956736778752, 1956736778753),
+    ("zeros_placement", (18, 18), (27, 9, 18), (18, 18, 18, 9), 8079317057869, 8079317057870),
     ("convolution", (3, 9), (3, 9, 14), (3, 9, 14), 1, 0),
     ("convolution", (9, 3), (9, 3, 14), (9, 3, 14), 1, 0),
     ("convolution", (3, 9), (3, 9, 5), (3, 9, 5), 34849, 34848),
@@ -260,8 +269,9 @@ def test_non_square_planted_golden(name, grid, cell, params, lhs, rhs):
 
 @pytest.mark.parametrize("name", ["alternating_shift", "zeros_placement"])
 def test_transform_memory_stays_small(name):
-    # the value table plus one step of the transform per k: 2.5 MB on 18 x 18;
-    # keeping every step of it takes about 7.5 MB
+    # a passing grid holds the value table and the certificate's rows: 0.56 MB
+    # on 18 x 18; keeping every step of a transform along the grid took
+    # about 7.5 MB
     tracemalloc.start()
     try:
         assert verify(name, 18, 18).passed
@@ -272,9 +282,10 @@ def test_transform_memory_stays_small(name):
 
 
 def test_transforms_go_when_their_identity_finishes():
-    # verify_all shares its cells across the identities but not the
-    # transforms: 1.95 MB peak on 14 x 14, 2.22 MB while alternating_shift's
-    # differences were kept until the last identity finished
+    # verify_all shares its cells across the identities and nothing else:
+    # 0.56 MB peak on 14 x 14.  The bound dates from when every grid walked
+    # the transforms (1.95 MB), and fails a table of alternating_shift's
+    # differences kept until the last identity finished (2.22 MB)
     verify_all(14, 14)  # a first run peaks ~0.15 MB higher, whatever the code
     tracemalloc.start()
     try:
@@ -436,7 +447,7 @@ def test_default_rows_report_planted_faults_as_injected_cells(monkeypatch, name,
     # planted through inset_fn gives: at the last k each row is read, where a
     # row cut short or not zero-padded past m + n goes wrong, and at sampled
     # cells.  It fails exactly where the term-by-term form reads the cell;
-    # the transforms also read row ends that no comparison uses.
+    # the certificates also read row ends that no comparison uses.
     asked, source = _counting_source()
     assert verify(name, *grid, inset_fn=source).passed
     read = set()
