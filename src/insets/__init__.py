@@ -38,7 +38,15 @@ _EXPORTS = {
     ),
     "identities": ("IDENTITY_NAMES", "Counterexample", "GridReport", "verify", "verify_all"),
     "oeis": ("BFile", "bfile_name", "load", "parse_bfile"),
-    "oracles": ("delannoy_paths", "lattice_points", "weak_compositions_with_zeros"),
+    "oracles": (
+        "delannoy_paths",
+        "lattice_points",
+        "poly_mul",
+        "poly_pow",
+        "poly_trim",
+        "series_div",
+        "weak_compositions_with_zeros",
+    ),
     "registry": (
         "SequenceEntry",
         "SequenceSlice",
@@ -48,16 +56,7 @@ _EXPORTS = {
         "list_entries",
         "validate",
     ),
-    "series": (
-        "check_coefficients",
-        "gf_in_k",
-        "gf_in_m",
-        "gf_in_n",
-        "poly_mul",
-        "poly_pow",
-        "poly_trim",
-        "series_div",
-    ),
+    "series": ("check_coefficients", "gf_in_k", "gf_in_m", "gf_in_n"),
     "words": ("count_bruteforce", "enumerate_words", "is_satisfying", "iter_words"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

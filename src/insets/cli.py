@@ -57,10 +57,10 @@ MAX_SERIES_ORDER = 512
 # process, gf_in_k(0, b, 512) and its decimal strings took 0.33 s at
 # b = 20000 and 1.23 s at b = 40000
 MAX_SERIES_PARAM = 20_000
-# `verify all 32 32` took 0.15-0.21 s and 20.1 MB peak RSS as a process on a
-# 2-core VM with Python 3.11.7, measured as above; in process verify_all took
-# 0.017 s at 16 x 16, 0.11 s at 32 x 32 and 0.15 s at 36 x 36, so the cost
-# grows about as the cube of the bound
+# `verify all 32 32` took 0.18-0.29 s and 20.2-20.3 MB peak RSS as a process
+# on a 2-core VM with Python 3.11.7, measured as above; in process the fastest
+# of repeated verify_all calls took 0.02 s at 16 x 16, 0.11-0.13 s at 32 x 32
+# and 0.17 s at 36 x 36, so the cost grows about as the cube of the bound
 MAX_VERIFY_GRID = 32
 # `table` prints (m_max + 1) (n + 1 + m_max/2) values of up to n + m_max bits.
 # With n + m_max = 700 it took at most 1.6 s (`table 350 350 --format csv`)

@@ -41,16 +41,20 @@ A checker walks that grid once.  It takes the table and yields, for each
 (m, n) in turn, None or the first comparison there that fails, and the report
 carries the first one it yields; a checker may stop yielding once none of its
 comparisons can fail.  Each (m, n) covers all its k at once: the checker
-builds the right-hand row from rows of the table and compares it with the
-left-hand row in one ``==``.  Only a row that fails is scanned for its first
-differing k.  Whatever a checker carries from one (m, n) to the next is a
-local of its walk, and goes when the walk stops.
+builds the right-hand row and compares it with the left-hand row in one
+``==``.  Only a row that fails is scanned for its first differing k.
+``shifted_window``, whose left side runs along diagonals of the table,
+compares each row (a, n) they cross instead and yields once, after all of
+them.  Whatever a checker carries from one (m, n) to the next is a local of
+its walk, and goes when the walk stops.
 
-``pascal``, ``vertical``, ``doubling``, ``telescoping``, ``parity_shift`` and
-``first_row`` carry nothing: each checks one (m, n) from neighbouring rows,
-and ``_each_cell`` walks it over the grid.  The ``horizontal_*`` checkers
-share ``_running_sums``, which keeps for each n the running sum of the rows
-f(0..m, n, .), one k longer each m.
+``pascal``, ``vertical``, ``doubling``, ``telescoping`` and ``parity_shift``
+carry nothing: each checks one (m, n) from neighbouring rows, and
+``_each_cell`` walks it over the grid, as it walks ``first_row``.  The
+``horizontal_*`` checkers share ``_running_sums``, which keeps for each n the
+running sum of the rows f(0..m, n, .), one k longer each m.
+``binomial_sum`` and ``convolution`` share ``_check_trapeze``, which keeps one
+trapeze table for each n.
 
 No checker re-sums an inner sum over an auxiliary index p on a passing grid,
 so each (m, n) costs O(m + n) row entries where re-summing costs O(p^2)
@@ -75,13 +79,17 @@ The report is still the first failure of the term-by-term forms, p included:
   passes.  Only where one is not are the term-by-term forms above compared,
   each (m, n) on rows over k for every p in turn, for the exact first
   counterexample.
-* ``binomial_sum``, ``convolution`` and ``shifted_window`` step their
-  closed-form side in m, by Pascal's rule on the binomial factor that holds
-  m: C(m+i, k), C(m, .) and C(k+m-j, k).  The first two each give
-  s_m(n, k) = s_{m-1}(n, k) + s_{m-1}(n, k-1) from their own row at m = 0.
-  ``shifted_window``'s sum_j C(n,j) C(k+m-j, k) is C(n, m) plus the running
-  sum over k of its row at m-1.  No side is built from a relation among
-  inset values.
+* ``binomial_sum``, ``convolution``, ``shifted_window`` and ``first_row``
+  read one closed form, sum_i C(n,i) C(a+i, k), the coefficients of
+  (1+x)^a (2+x)^n, at a = m, m, m+k-n and 0 (``convolution``'s inner sum
+  over j is C(m+i, k), by Vandermonde's convolution).  That is row a
+  of ``core.trapeze_table(n, .)``: row 0 is 2^(n-k) C(n,k) = sum_i C(n,i)
+  C(i,k), and Pascal's rule on C(a+i, k) steps each row to the next.  The
+  table is built by its own Pascal step, which shares no code with the
+  ``inset_row`` walk that fills the table of values, so no side is built
+  from the values it is compared with.  ``shifted_window`` compares each
+  row (a, n) once over the k its grid reads, then yields one found value:
+  the failed cell first in (m, n, k) order, with m = a+n-k.
 
 The certificates read whole rows, k = 0..m_max + n_max + 2, one cell short
 of the table's rows; every other row stops where the term-by-term forms above
@@ -93,12 +101,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from itertools import accumulate, product
+from itertools import product
 from operator import add, mul, sub
 
 from . import _EXPORTS
 from ._record import Record
-from .core import inset_row
+from .core import inset_row, trapeze_table
 
 __all__ = _EXPORTS["identities"]
 
@@ -165,7 +173,7 @@ class _Table(dict):
 
 _Found = tuple[tuple[int, ...], int, int] | None  # None or (params, lhs, rhs)
 # table -> one _Found for each (m, n) of table.grid(), in that order, or
-# fewer once none of the rest can fail
+# fewer once none of the rest can fail, or one _Found for the whole grid
 _Checker = Callable[[_Table], Iterator[_Found]]
 
 
@@ -315,44 +323,27 @@ def _zeros_placement_terms(f, m, n):
     return _least(enumerate(_compare((m, n), lhs, rhs) for rhs in sides))
 
 
-def _stepped(first):
-    """The checker of f(m, n, k) = s_m(n, k), where s_0(n, .) = ``first(f, n)``
-    over k = 0..n and s_m(n, k) = s_{m-1}(n, k) + s_{m-1}(n, k-1): Pascal's
-    rule on the binomial factor of s that holds m.  s_m(n, k) = 0 past k = m+n."""
-    def check(f):
-        rows = [first(f, n) for n in range(f.n_max + 1)]
-        for m, n in f.grid():
-            if m > 0:
-                rows[n] = list(map(add, [*rows[n], 0], [0, *rows[n]]))
-            yield _compare((m, n), f.row(m, n, 0, m + n + 3), [*rows[n], 0, 0])
-    return check
-
-
-@_stepped
-def _check_binomial_sum(f, n):
-    # sum_i C(n,i) C(m+i, k) at m = 0; C(m+i, k) steps in m
-    return [sum(math.comb(n, i) * math.comb(i, k) for i in range(k, n + 1))
-            for k in range(n + 1)]
-
-
-@_stepped
-def _check_convolution(f, n):
-    # sum_{i,j} C(n,i) C(i,j) C(m, k-i+j) at m = 0, where only j = i-k is
-    # left; C(m, .) steps in m
-    return [sum(math.comb(n, i) * math.comb(i, i - k) for i in range(k, n + 1))
-            for k in range(n + 1)]
+def _check_trapeze(f):
+    # sum_i C(n,i) C(m+i, k) over k = 0..m+n is row m of trapeze_table(n, .)
+    tables = [trapeze_table(n, f.m_max) for n in range(f.n_max + 1)]
+    for m, n in f.grid():
+        yield _compare((m, n), f.row(m, n, 0, m + n + 3), [*tables[n][m], 0, 0])
 
 
 def _check_shifted_window(f):
-    # rhs(m, n, k) = sum_j C(n,j) C(k+m-j, k) over j <= min(m, n), as a row
-    # over k = 0..m_max + n_max + 2; Pascal's rule on C(k+m-j, k) makes it
-    # C(n, m) plus the running sum of the row of m-1
-    rows = [[0] * (f.width - 1) for _ in range(f.n_max + 1)]
-    for m, n in f.grid():
-        rows[n] = rhs = list(accumulate(rows[n], initial=math.comb(n, m)))[1:]
-        lo = max(0, n - m)  # m + k >= n
-        lhs = [f.row(m + k - n, n, k, k + 1)[0] for k in range(lo, m + n + 3)]
-        yield _compare((m, n), lhs, rhs[lo:m + n + 3], lo)
+    # rhs(m, n, k) = sum_j C(n,j) C(k+m-j, k) is row a = m+k-n of
+    # trapeze_table(n, .) at k.  Row (a, n) holds the cells of m = a+n-k for
+    # max(0, a+n-m_max) <= k <= min(a+n, (a+2n+2)//2); within it the first
+    # cell in (m, n, k) order is the one of largest k
+    bad = []
+    for n in range(f.n_max + 1):
+        for a, side in enumerate(trapeze_table(n, 2 * f.m_max + 2)):
+            lo, hi = max(0, a + n - f.m_max), min(a + n, (a + 2 * n + 2) // 2) + 1
+            lhs, rhs = f.row(a, n, lo, hi), side[lo:hi]
+            if lhs != rhs:
+                bad += [((a + n - k, n, k), x, y)
+                        for k, x, y in zip(range(lo, hi), lhs, rhs) if x != y]
+    yield min(bad, default=None)
 
 
 @_each_cell
@@ -373,8 +364,8 @@ def _check_parity_shift(f, m, n):
 def _check_first_row(f, m, n):
     if m != 0:
         return None
-    rhs = [math.comb(n, k) << (n - k) for k in range(n + 1)]  # 2^(n-k) C(n,k)
-    return _compare((0, n), f.row(0, n, 0, n + 3), [*rhs, 0, 0])
+    # row 0 of trapeze_table(n, .) is 2^(n-k) C(n,k)
+    return _compare((0, n), f.row(0, n, 0, n + 3), [*trapeze_table(n, 0)[0], 0, 0])
 
 
 _CHECKERS: dict[str, _Checker] = {
@@ -386,8 +377,8 @@ _CHECKERS: dict[str, _Checker] = {
     "horizontal_tail": _check_horizontal_tail,
     "telescoping": _check_telescoping,
     "zeros_placement": _check_zeros_placement,
-    "binomial_sum": _check_binomial_sum,
-    "convolution": _check_convolution,
+    "binomial_sum": _check_trapeze,
+    "convolution": _check_trapeze,
     "shifted_window": _check_shifted_window,
     "parity_shift": _check_parity_shift,
     "first_row": _check_first_row,

@@ -1,9 +1,16 @@
-"""Independent brute-force counters.
+"""Independent routes: brute-force counters and exact polynomial arithmetic.
 
 These validate the combinatorial interpretations of inset numbers without
 touching any inset formula: a lattice-path dynamic program, plain nested
 enumeration of integer points, and exhaustive generation of weak
 compositions.  Oracle code favors being obviously correct over being fast.
+
+Integer polynomials are coefficient lists, index = degree, trailing zeros
+trimmed (the zero polynomial is the empty list).  ``series_div`` is
+truncated division by a denominator with constant term +-1, which keeps the
+quotient integral.  Dividing the ``poly_pow`` expansions of a generating
+function's numerator and denominator is the independent route the builders
+of :mod:`insets.series` are tested against.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from . import _EXPORTS
-from .errors import CapExceededError
+from .errors import CapExceededError, NonUnitConstantTermError
 
 __all__ = _EXPORTS["oracles"]
 
@@ -87,3 +94,59 @@ def weak_compositions_with_zeros(total: int, zeros: int) -> int:
             1 for comp in _weak_compositions(length, total) if comp.count(0) == zeros
         )
     return count
+
+
+def poly_trim(coeffs: list[int]) -> list[int]:
+    """Canonical form: strip trailing zero coefficients."""
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return list(coeffs[:end])
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return poly_trim(out)
+
+
+def poly_pow(base: list[int], e: int) -> list[int]:
+    """Exact polynomial power; e = 0 gives the constant 1."""
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = [1]
+    sq = poly_trim(base)
+    while e:
+        if e & 1:
+            result = poly_mul(result, sq)
+        e >>= 1
+        if e:
+            sq = poly_mul(sq, sq)
+    return result
+
+
+def series_div(num: list[int], den: list[int], order: int) -> list[int]:
+    """Quotient q with num = den * q (mod x^(order+1)).
+
+    Requires den to have constant term +1 or -1 so the quotient stays
+    integral.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if not den or den[0] not in (1, -1):
+        raise NonUnitConstantTermError(
+            "series division requires a denominator with constant term +1 or -1"
+        )
+    lead = den[0]
+    out = [0] * (order + 1)
+    for i in range(order + 1):
+        acc = num[i] if i < len(num) else 0
+        for j in range(1, min(i, len(den) - 1) + 1):
+            acc -= den[j] * out[i - j]
+        out[i] = acc * lead  # divide by +-1
+    return out

@@ -234,7 +234,7 @@ _TABLE = [
      ": 4-dimensional centered polygonal analog m(m-1)(m^2-m+1)/6",
      0, lambda m: exact_div(m * (m - 1) * (m * m - m + 1), 6)),
     ("dyck_pyramid_weight", "A001793", "n", (0, 1, 1, 0, 0, 2),
-     ": n(n+3)2^(n-3); pyramid weight of Dyck paths",
+     ": n(n+3)2^(n-3)",
      0, lambda n: exact_div(n * (n + 3) * (1 << n), 8)),
     ("bishop_moves", "A002492", "n", (0, 1, 1, 0, 1, -2),
      ": bishop moves on the n x n board, n >= 2",

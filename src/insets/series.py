@@ -1,8 +1,7 @@
-"""Integer polynomials and truncated formal power series.
+"""Truncated formal power series.
 
-Polynomials are coefficient lists, index = degree, trailing zeros trimmed
-(the zero polynomial is the empty list).  A truncated series of order N is
-a list of N + 1 exact integer coefficients, arithmetic modulo x^(N+1).
+A truncated series of order N is a list of N + 1 exact integer
+coefficients, arithmetic modulo x^(N+1).
 
 The paper's three generating functions, one per variable of inset(m, n, k)
 with the other two fixed, are the three rows of one table, ``_ROWS``.  From
@@ -16,75 +15,17 @@ exactly where its cell has no negative coordinate; the others are produced
 but unconstrained.  ``check_coefficients`` compares, by that rule, the
 coefficients of an expansion with ``inset``.
 
-``series_div`` is public truncated division by a denominator with constant
-term +-1, which keeps the quotient integral.  Dividing the ``poly_pow``
-expansions of a builder's numerator and denominator is the independent
-route the builders are tested against.
+The builders are tested against an independent route, truncated division
+of polynomial powers, which lives with the other oracles in
+:mod:`insets.oracles`.
 """
 
 from __future__ import annotations
 
 from . import _EXPORTS
 from .core import _binomial_product, inset
-from .errors import NonUnitConstantTermError
 
 __all__ = _EXPORTS["series"]
-
-
-def poly_trim(coeffs: list[int]) -> list[int]:
-    """Canonical form: strip trailing zero coefficients."""
-    end = len(coeffs)
-    while end and coeffs[end - 1] == 0:
-        end -= 1
-    return list(coeffs[:end])
-
-
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return poly_trim(out)
-
-
-def poly_pow(base: list[int], e: int) -> list[int]:
-    """Exact polynomial power; e = 0 gives the constant 1."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = [1]
-    sq = poly_trim(base)
-    while e:
-        if e & 1:
-            result = poly_mul(result, sq)
-        e >>= 1
-        if e:
-            sq = poly_mul(sq, sq)
-    return result
-
-
-def series_div(num: list[int], den: list[int], order: int) -> list[int]:
-    """Quotient q with num = den * q (mod x^(order+1)).
-
-    Requires den to have constant term +1 or -1 so the quotient stays
-    integral.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if not den or den[0] not in (1, -1):
-        raise NonUnitConstantTermError(
-            "series division requires a denominator with constant term +1 or -1"
-        )
-    lead = den[0]
-    out = [0] * (order + 1)
-    for i in range(order + 1):
-        acc = num[i] if i < len(num) else 0
-        for j in range(1, min(i, len(den) - 1) + 1):
-            acc -= den[j] * out[i - j]
-        out[i] = acc * lead  # divide by +-1
-    return out
 
 
 # which -> (from the fixed (a, b) of gf_in_<which>: its product (p, q, a, r, b);

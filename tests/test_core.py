@@ -18,7 +18,7 @@ from insets.core import (
     trapeze_table,
 )
 from insets.identities import verify_all
-from insets.series import poly_mul, poly_pow
+from insets.oracles import poly_mul, poly_pow
 
 ALL_METHODS = [inset_alternating, inset_power_sum, inset_binomial_sum, inset_dp]
 

@@ -465,3 +465,27 @@ def test_default_rows_report_planted_faults_as_injected_cells(monkeypatch, name,
         report = verify(name, *grid)
         assert report == verify(name, *grid, inset_fn=_off_by_one_at(cell)), cell
         assert report.passed is (cell not in read), cell
+
+
+@pytest.mark.parametrize("cell", [(0, 3, 2), (3, 2, 2), (6, 6, 7)], ids=str)
+def test_closed_forms_read_the_trapeze_table(monkeypatch, cell):
+    # binomial_sum, convolution, shifted_window and, at a = 0, first_row
+    # compare with rows of trapeze_table, so +1 planted at its cell (a, n, k)
+    # fails exactly those, each at that cell in its own coordinates:
+    # shifted_window's f(m+k-n, n, k) is the cell at m = a+n-k
+    a, n, k = cell
+
+    def planted(n_, m_max):
+        rows = core.trapeze_table(n_, m_max)
+        if n_ == n and a <= m_max:
+            rows[a][k] += 1
+        return rows
+
+    monkeypatch.setattr(identities, "trapeze_table", planted)
+    want = {"binomial_sum": cell, "convolution": cell, "shifted_window": (a + n - k, n, k)}
+    if a == 0:
+        want["first_row"] = cell
+    value = inset(*cell)
+    got = {r.identity: (r.counterexample.params, r.counterexample.lhs, r.counterexample.rhs)
+           for r in verify_all(6, 6) if not r.passed}
+    assert got == {name: (params, value, value + 1) for name, params in want.items()}

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from insets import chebyshev, core, series, words
+from insets import chebyshev, core, words
 from insets.errors import CapExceededError
 from insets.oracles import (
     delannoy_paths,
@@ -95,7 +95,6 @@ def test_weak_composition_cap():
 # them, in its own body or through a function of its own module.
 _REFERENCE_ROUTES = [
     (core, ("inset_alternating", "inset_power_sum", "inset_binomial_sum", "inset_dp")),
-    (series, ("poly_trim", "poly_mul", "poly_pow", "series_div")),
     (words, ("count_bruteforce", "_counts_by_twos")),
     (chebyshev, ("chebyshev_oracle",)),
 ]

@@ -645,10 +645,7 @@ NO_CONFIGURATION = {
     "squares_convolution": "names a convolution of numbers, the squares with themselves",
     "catalan_scaled": "names a family of numbers, (3k+2) times the Catalan numbers",
     "dyck_central_peak": "names a family of numbers, twice the squares",
-    "dyck_pyramid_weight": (
-        "names no family of Dyck paths: the total pyramid weight over all paths"
-        " of semilength n, or over those of height <= 2, is another sequence"
-    ),
+    "dyck_pyramid_weight": "names a closed form",
     "asymmetric_delannoy": "names an array of inset cells, read by antidiagonals",
     "lucas_triangle": "names a triangle of numbers, the rows inset(m, 1, .)",
     "braun_hough_cells": (
