@@ -50,11 +50,11 @@ its walk, and goes when the walk stops.
 
 ``pascal``, ``vertical``, ``doubling``, ``telescoping`` and ``parity_shift``
 carry nothing: each checks one (m, n) from neighbouring rows, and
-``_each_cell`` walks it over the grid, as it walks ``first_row``.  The
-``horizontal_*`` checkers share ``_running_sums``, which keeps for each n the
-running sum of the rows f(0..m, n, .), one k longer each m.
-``binomial_sum`` and ``convolution`` share ``_check_trapeze``, which keeps one
-trapeze table for each n.
+``_each_cell`` walks it over the grid.  The ``horizontal_*`` checkers share
+``_running_sums``, which keeps for each n the running sum of the rows
+f(0..m, n, .), one k longer each m.  ``binomial_sum``, ``convolution`` and
+``first_row`` share ``_check_trapeze``, which keeps one trapeze table for
+each n; ``first_row`` is its walk stopped past m = 0.
 
 No checker re-sums an inner sum over an auxiliary index p on a passing grid,
 so each (m, n) costs O(m + n) row entries where re-summing costs O(p^2)
@@ -323,10 +323,14 @@ def _zeros_placement_terms(f, m, n):
     return _least(enumerate(_compare((m, n), lhs, rhs) for rhs in sides))
 
 
-def _check_trapeze(f):
-    # sum_i C(n,i) C(m+i, k) over k = 0..m+n is row m of trapeze_table(n, .)
-    tables = [trapeze_table(n, f.m_max) for n in range(f.n_max + 1)]
+def _check_trapeze(f, top=None):
+    # sum_i C(n,i) C(m+i, k) over k = 0..m+n is row m of trapeze_table(n, .);
+    # the walk stops past row m = ``top``
+    top = f.m_max if top is None else top
+    tables = [trapeze_table(n, top) for n in range(f.n_max + 1)]
     for m, n in f.grid():
+        if m > top:
+            return
         yield _compare((m, n), f.row(m, n, 0, m + n + 3), [*tables[n][m], 0, 0])
 
 
@@ -360,14 +364,6 @@ def _check_parity_shift(f, m, n):
     return (m, n, k, 1), lhs[k - 1], rhs[k - 1]
 
 
-@_each_cell
-def _check_first_row(f, m, n):
-    if m != 0:
-        return None
-    # row 0 of trapeze_table(n, .) is 2^(n-k) C(n,k)
-    return _compare((0, n), f.row(0, n, 0, n + 3), [*trapeze_table(n, 0)[0], 0, 0])
-
-
 _CHECKERS: dict[str, _Checker] = {
     "pascal": _check_pascal,
     "vertical": _check_vertical,
@@ -381,7 +377,8 @@ _CHECKERS: dict[str, _Checker] = {
     "convolution": _check_trapeze,
     "shifted_window": _check_shifted_window,
     "parity_shift": _check_parity_shift,
-    "first_row": _check_first_row,
+    # row 0 of trapeze_table(n, .) is 2^(n-k) C(n,k)
+    "first_row": lambda f: _check_trapeze(f, 0),
 }
 
 IDENTITY_NAMES: tuple[str, ...] = tuple(_CHECKERS)

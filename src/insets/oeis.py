@@ -5,14 +5,12 @@ line, '#' comments and blank lines allowed, indices strictly increasing and
 contiguous.  The package ships a committed fixture for every catalogued
 sequence, regenerated by ``tools/make_fixtures.py``; this module only reads
 them and never fetches or writes a file.  ``load(fixture_id, fixture_dir)``
-reads one fixture from ``fixture_dir``, else from the directory the
-INSETS_FIXTURES environment variable names, else from the packaged
-fixtures.
+reads one fixture from ``fixture_dir``, else from the packaged fixtures;
+nothing else names the directory.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from pathlib import Path
 
@@ -21,8 +19,6 @@ from ._record import Record
 from .errors import BFileFormatError, FixtureNotFoundError
 
 __all__ = _EXPORTS["oeis"]
-
-ENV_FIXTURE_DIR = "INSETS_FIXTURES"
 
 _OEIS_ID_RE = re.compile(r"A([0-9]{6})")
 # a line's index and value: each an optional "-" and ASCII digits, which
@@ -73,14 +69,11 @@ def parse_bfile(text: str, oeis_id: str) -> BFile:
 def load(fixture_id: str, fixture_dir: str | Path | None = None) -> BFile:
     """Parsed fixture file for ``fixture_id``.
 
-    The directory is ``fixture_dir``, else INSETS_FIXTURES, else the packaged
-    fixtures; an empty string, given or in the environment, means the
-    packaged fixtures.  Raises FixtureNotFoundError when the directory holds
-    no file for ``fixture_id``, and BFileFormatError when the file is not
-    UTF-8 or is malformed.
+    The directory is ``fixture_dir``, else the packaged fixtures; an empty
+    string also means the packaged fixtures.  Raises FixtureNotFoundError
+    when the directory holds no file for ``fixture_id``, and BFileFormatError
+    when the file is not UTF-8 or is malformed.
     """
-    if fixture_dir is None:
-        fixture_dir = os.environ.get(ENV_FIXTURE_DIR)
     directory = Path(fixture_dir) if fixture_dir else _FIXTURE_DIR
     path = directory / bfile_name(fixture_id)
     if not path.is_file():

@@ -29,6 +29,16 @@ def test_oracle_degree_cap():
 
 
 @pytest.mark.parametrize(
+    "fn,args",
+    [(coeff, (-1, 2, 0)), (coeff, (0, -1, 0)), (coeff, (0, 2, -1)),
+     (polynomial, (-1, 2)), (polynomial, (0, -1))],
+)
+def test_negative_indices_are_refused(fn, args):
+    with pytest.raises(ValueError, match="nonnegative"):
+        fn(*args)
+
+
+@pytest.mark.parametrize(
     "m,n,k,expected",
     [
         (0, 4, 2, -12),

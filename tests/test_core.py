@@ -216,6 +216,12 @@ def test_trapeze_n2_single_row():
     assert trapeze_table(2, 0) == [[4, 4, 1]]
 
 
+@pytest.mark.parametrize("args", [(-1, 0), (0, -1)])
+def test_trapeze_refuses_negative_arguments(args):
+    with pytest.raises(ValueError, match="nonnegative"):
+        trapeze_table(*args)
+
+
 def test_trapeze_rows_match_inset_cell_by_cell():
     for n in range(13):
         cells = [[inset(m, n, k) for k in range(m + n + 1)] for m in range(13)]

@@ -72,8 +72,7 @@ def test_bfile_name():
     assert bfile_name("Aztec_cells") == "Aztec_cells.txt"
 
 
-def test_load_from_packaged_fixtures(monkeypatch):
-    monkeypatch.delenv("INSETS_FIXTURES", raising=False)
+def test_load_from_packaged_fixtures():
     parsed = load("A008288")
     assert parsed.values[:6] == [1, 1, 1, 1, 3, 1]
 
@@ -99,40 +98,20 @@ def test_local_ids_are_never_fetched(tmp_path):
         load("braun_hough_cells", tmp_path)
 
 
-def _write_fixture(directory, text="0 7\n1 8\n"):
-    directory.mkdir()
-    (directory / "b008288.txt").write_text(text, encoding="utf-8")
-    return directory
+def test_load_reads_the_directory_given(tmp_path):
+    (tmp_path / "b008288.txt").write_text("0 5\n1 6\n", encoding="utf-8")
+    assert load("A008288", tmp_path).values == [5, 6]
+    assert load("A008288", str(tmp_path)).values == [5, 6]
 
 
-def test_env_overrides(tmp_path, monkeypatch):
-    env = _write_fixture(tmp_path / "env")
-    monkeypatch.setenv("INSETS_FIXTURES", str(env))
-    assert load("A008288").values == [7, 8]
-    with pytest.raises(FixtureNotFoundError) as missing:
-        load("A001850")
-    assert str(missing.value) == f"no fixture for A001850 in {env}"
-
-
-def test_argument_takes_precedence_over_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("INSETS_FIXTURES", str(_write_fixture(tmp_path / "env")))
-    given = _write_fixture(tmp_path / "given", "0 5\n1 6\n")
-    assert load("A008288", given).values == [5, 6]
-    assert load("A008288", str(given)).values == [5, 6]
-
-
-def test_empty_strings_mean_the_packaged_fixtures(tmp_path, monkeypatch):
+def test_empty_strings_mean_the_packaged_fixtures():
     packaged = (PACKAGED_FIXTURES / "b008288.txt").read_text(encoding="utf-8")
     expected = parse_bfile(packaged, "A008288")
-    # an empty argument is not None: the environment is not consulted
-    monkeypatch.setenv("INSETS_FIXTURES", str(_write_fixture(tmp_path / "env")))
     assert load("A008288", "") == expected
-    monkeypatch.setenv("INSETS_FIXTURES", "")
     assert load("A008288") == expected
 
 
-def test_all_packaged_fixtures_parse(monkeypatch):
-    monkeypatch.delenv("INSETS_FIXTURES", raising=False)
+def test_all_packaged_fixtures_parse():
     files = sorted(PACKAGED_FIXTURES.glob("*.txt"))
     assert files, "no packaged fixtures found"
     for path in files:

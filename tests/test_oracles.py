@@ -31,6 +31,12 @@ def test_delannoy_cap():
         delannoy_paths(65, 2)
 
 
+@pytest.mark.parametrize("corner", [(-1, 2), (2, -1)])
+def test_delannoy_refuses_a_negative_corner(corner):
+    with pytest.raises(ValueError, match="nonnegative"):
+        delannoy_paths(*corner)
+
+
 @pytest.mark.parametrize(
     "dim,radius,mode,expected",
     [

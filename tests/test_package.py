@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import pkgutil
@@ -5,10 +6,12 @@ import subprocess
 import sys
 import types
 import typing
+from pathlib import Path
 
 import pytest
 
 import insets
+from insets import cli, oeis
 
 
 def test_every_export_resolves_to_its_submodule_object():
@@ -34,6 +37,10 @@ def test_dir_lists_every_export_before_it_is_resolved():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_dir_lists_every_export():
+    assert set(insets.__all__) <= set(dir(insets))
 
 
 def test_submodule_star_import_binds_exactly_its_exports():
@@ -95,6 +102,35 @@ caches = {f"{module.__name__}.{attr}": value.cache_info()[2:]
           if hasattr(value, "cache_info")}
 print(json.dumps({"before": before, "after": lengths(), "caches": caches}))
 """
+
+
+def test_no_module_reads_the_environment():
+    # every input comes from arguments, so a shell variable changes no output
+    read = set()
+    for path in sorted(Path(insets.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            read.update((path.name, name) for name in names
+                        if name in {"environ", "environb", "getenv", "getenvb"})
+    assert not read
+
+
+def test_a_fixtures_variable_changes_nothing(tmp_path, monkeypatch, capsys):
+    # an empty directory named by the variable would fail every fixture read
+    # that consulted it
+    assert cli.main(["crosscheck", "all", "--fixtures", ""]) == 0
+    packaged = capsys.readouterr()
+    monkeypatch.setenv("INSETS_FIXTURES", str(tmp_path))
+    assert cli.main(["crosscheck", "all"]) == 0
+    assert capsys.readouterr() == packaged
+    assert oeis.load("A008288") == oeis.load("A008288", "")
 
 
 def test_no_module_level_state_grows():

@@ -68,6 +68,15 @@ def test_no_field_can_be_assigned(record, required, defaults):
             setattr(made, name, "changed")
 
 
+@pytest.mark.parametrize("record,required,defaults", RECORDS, ids=IDS)
+def test_no_field_can_be_deleted(record, required, defaults):
+    made = record(*range(len(required)))
+    for name in (*required, *defaults):
+        with pytest.raises(AttributeError):
+            delattr(made, name)
+    assert record(**vars(made)) == made
+
+
 def test_validation_report_validated():
     assert ValidationReport("k", "A000001", "validated", 0, 15).validated is True
     assert ValidationReport("k", "A000001", "provisional", 0, 3).validated is False

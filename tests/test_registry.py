@@ -183,6 +183,29 @@ def test_validate_reports_mismatch():
     assert report.mismatch[0] == 7
 
 
+def test_validate_skips_an_offset_with_too_short_an_overlap():
+    # at offset 1 all 14 overlapping terms agree, one under MIN_AGREEMENT, so
+    # that offset is not tried and no offset validates
+    squares = [i * i for i in range(14)]
+    fixture = BFile(entries=tuple(enumerate([-1, *squares])))
+    assert registry.MIN_AGREEMENT == 15
+    report = validate("squares", fixture)
+    assert (report.status, report.offset, report.agreed, report.mismatch) == (
+        "provisional", 0, 0, (0, 0, -1)
+    )
+    # one term more, and offset 1 overlaps 15 terms and validates
+    fixture = BFile(entries=tuple(enumerate([-1, *squares, 14 * 14])))
+    report = validate("squares", fixture)
+    assert (report.status, report.offset, report.agreed) == ("validated", 1, 15)
+
+
+def test_validate_refuses_a_fixture_with_no_offset_of_enough_overlap():
+    fixture = BFile(entries=tuple(enumerate(i * i for i in range(14))))
+    with pytest.raises(FixtureError, match=r"^fixture for squares is too short: need an "
+                       r"overlap of 15 terms$"):
+        validate("squares", fixture)
+
+
 def test_whole_fixtures_agree():
     # validate compares at most 40 terms; here every fixture term at or past
     # the reported offset is compared

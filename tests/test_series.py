@@ -33,6 +33,19 @@ def test_poly_pow(base, e, expected):
 
 
 @pytest.mark.parametrize(
+    "fn,args", [(poly_pow, ([1, 1], -1)), (series_div, ([1], [1, -1], -1))]
+)
+def test_negative_exponent_and_order_are_refused(fn, args):
+    with pytest.raises(ValueError, match="nonnegative"):
+        fn(*args)
+
+
+def test_poly_mul_by_an_empty_factor_is_empty():
+    assert poly_mul([], [1, 2]) == []
+    assert poly_mul([1, 2], []) == []
+
+
+@pytest.mark.parametrize(
     "num,den,order,expected",
     [
         ([1], [1, -1], 4, [1, 1, 1, 1, 1]),
